@@ -30,18 +30,9 @@ let run () =
           let bodies =
             Array.init m (fun i -> Msg.Kk_mp.kk_body ~n ~m ~beta:m ~pid:(i + 1))
           in
-          let a =
-            Msg.Abd.run ~crash_plan ~duplicate_prob ~servers
-              ~registers:(Msg.Kk_mp.register_count ~n ~m)
-              ~rng:(Util.Prng.of_int seed) ~client_bodies:bodies ()
-          in
-          {
-            Msg.Kk_mp.dos = a.Msg.Abd.dos;
-            completed = a.Msg.Abd.completed;
-            stuck = a.Msg.Abd.stuck;
-            crashed_clients = a.Msg.Abd.crashed_clients;
-            deliveries = a.Msg.Abd.deliveries;
-          }
+          Msg.Abd.run ~crash_plan ~duplicate_prob ~servers
+            ~registers:(Msg.Kk_mp.register_count ~n ~m)
+            ~rng:(Util.Prng.of_int seed) ~client_bodies:bodies ()
         in
         if not (amo_ok o.Msg.Kk_mp.dos) then safe := false;
         if o.Msg.Kk_mp.stuck <> [] then incr stuck;

@@ -75,8 +75,8 @@ let exports ~m ~csv_dos ~csv_timeline ~show_timeline ~show_gantt
 let apply_log_level = function
   | None -> ()
   | Some name -> (
-      match Obs.Log.level_of_string name with
-      | Some l -> Obs.Log.set_level l
+      match Util.Logging.level_of_string name with
+      | Some l -> Util.Logging.set_level l
       | None ->
           Fmt.epr "amo_run: unknown log level %S (use quiet|info|debug)@." name;
           exit 2)

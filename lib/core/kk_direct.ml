@@ -1,0 +1,124 @@
+type regs = {
+  read_next : int -> int;
+  write_next : int -> unit;
+  read_done : int -> int -> int;
+  write_done : int -> int -> unit;
+}
+
+type flag = { is_set : unit -> bool; set : unit -> unit }
+
+(* Fig. 2, one process, with its register accesses in the automaton's
+   (Kk) order.  Work charges mirror the simulator's, so measured work
+   is comparable with Theorem 5.6's bound the same way E4's is. *)
+let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
+    =
+  let log_unit = Params.log2_ceil (max 2 cols) in
+  let free = ref free0 in
+  let done_set = ref Ostree.empty in
+  let tries = ref Ostree.empty in
+  let pos = Array.make (m + 1) 1 in
+  let count = ref 0 in
+  let gather_try () =
+    tries := Ostree.empty;
+    for q = 1 to m do
+      if q <> pid then begin
+        let v = regs.read_next q in
+        Shm.Metrics.on_read ledger ~p:pid;
+        if v > 0 then begin
+          tries := Ostree.add v !tries;
+          Shm.Metrics.add_work ledger ~p:pid log_unit
+        end
+      end
+    done
+  in
+  let gather_done () =
+    for q = 1 to m do
+      if q <> pid then begin
+        let continue = ref true in
+        while !continue do
+          if pos.(q) > cols then continue := false
+          else begin
+            let v = regs.read_done q pos.(q) in
+            Shm.Metrics.on_read ledger ~p:pid;
+            if v > 0 then begin
+              done_set := Ostree.add v !done_set;
+              free := Ostree.remove v !free;
+              pos.(q) <- pos.(q) + 1;
+              Shm.Metrics.add_work ledger ~p:pid (2 * log_unit)
+            end
+            else continue := false
+          end
+        done
+      end
+    done
+  in
+  (* IterStepKK's termination: the flag is set (by us or observed);
+     recompute TRY and DONE and output FREE \ TRY *)
+  let finalize () =
+    gather_try ();
+    gather_done ();
+    Ostree.fold (fun x acc -> Ostree.remove x acc) !tries !free
+  in
+  let flag_seen () =
+    match flag with
+    | None -> false
+    | Some f ->
+        let set = f.is_set () in
+        Shm.Metrics.on_read ledger ~p:pid;
+        set
+  in
+  let rec loop () =
+    if !count >= budget then !free
+    else if Ostree.diff_cardinal !free !tries < beta then begin
+      match flag with
+      | None -> !free
+      | Some f ->
+          f.set ();
+          Shm.Metrics.on_write ledger ~p:pid;
+          finalize ()
+    end
+    else begin
+      Shm.Metrics.on_internal ledger ~p:pid;
+      Shm.Metrics.add_work ledger ~p:pid
+        (Policy.work_cost ~try_cardinal:(Ostree.cardinal !tries)
+           ~log_n:log_unit);
+      let j = Policy.choose policy ~p:pid ~m ~free:!free ~try_set:!tries in
+      regs.write_next j;
+      Shm.Metrics.on_write ledger ~p:pid;
+      gather_try ();
+      gather_done ();
+      Shm.Metrics.on_internal ledger ~p:pid;
+      Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
+      if Ostree.mem j !tries || Ostree.mem j !done_set then loop ()
+      else if flag_seen () then finalize ()
+      else begin
+        (* do the job, then publish it *)
+        perform j;
+        incr count;
+        Shm.Metrics.on_internal ledger ~p:pid;
+        Shm.Metrics.add_work ledger ~p:pid 1;
+        regs.write_done pos.(pid) j;
+        Shm.Metrics.on_write ledger ~p:pid;
+        Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
+        done_set := Ostree.add j !done_set;
+        free := Ostree.remove j !free;
+        pos.(pid) <- pos.(pid) + 1;
+        loop ()
+      end
+    end
+  in
+  loop ()
+
+let iterative ~hierarchy ~regs ~flag ~ledger ~pid ~m ~beta ~perform =
+  let levels = Superjob.num_levels hierarchy in
+  let free = ref (Superjob.ids_at hierarchy 0) in
+  for level = 0 to levels - 1 do
+    let out =
+      run ~flag:(flag level) (regs level) ~policy:Policy.Rank_split
+        ~budget:max_int ~ledger ~pid ~m ~beta
+        ~cols:(Superjob.block_count hierarchy level)
+        ~free0:!free ~perform:(perform level)
+    in
+    if level + 1 < levels then
+      free := Superjob.map_down hierarchy ~from_level:level out
+  done

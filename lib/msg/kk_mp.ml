@@ -1,4 +1,4 @@
-type outcome = {
+type outcome = Abd.outcome = {
   dos : (int * int) list;
   completed : int list;
   stuck : int list;
@@ -6,184 +6,48 @@ type outcome = {
   deliveries : int;
 }
 
-(* register layout: next[q] = q; done[q][c] = m + (q-1)*n + c *)
-let next_reg q = q
+(* A bank of registers: next[q] at base + q, done[q][c] at
+   base + m + (q-1)*cols + c, for q in 1..m and c in 1..cols.  KKβ
+   uses one bank at base 0; IterativeKK one per level, each followed
+   by its termination flag. *)
+type bank = { base : int; cols : int }
 
-let done_reg ~n ~m q c =
-  assert (c >= 1 && c <= n);
-  m + ((q - 1) * n) + c
+let done_reg ~m bank q c =
+  assert (c >= 1 && c <= bank.cols);
+  bank.base + m + ((q - 1) * bank.cols) + c
+
+let flag_reg ~m bank = bank.base + m + (m * bank.cols) + 1
+
+(* Process [pid]'s view of [bank] through ABD operations. *)
+let bank_regs ~m bank ~pid ~read ~write =
+  {
+    Core.Kk_direct.read_next = (fun q -> read (bank.base + q));
+    write_next = (fun v -> write (bank.base + pid) v);
+    read_done = (fun q c -> read (done_reg ~m bank q c));
+    write_done = (fun c v -> write (done_reg ~m bank pid c) v);
+  }
 
 let register_count ~n ~m = m + (m * n)
 
+(* Each client charges a private ledger: ABD work is not reported. *)
 let kk_body ~n ~m ~beta ~pid ~read ~write ~do_job =
-  let free = ref (Ostree.of_range 1 n) in
-  let done_set = ref Ostree.empty in
-  let tries = ref Ostree.empty in
-  let pos = Array.make (m + 1) 1 in
-  let gather_try () =
-    tries := Ostree.empty;
-    for q = 1 to m do
-      if q <> pid then begin
-        let v = read (next_reg q) in
-        if v > 0 then tries := Ostree.add v !tries
-      end
-    done
-  in
-  let gather_done () =
-    for q = 1 to m do
-      if q <> pid then begin
-        let continue_row = ref true in
-        while !continue_row do
-          if pos.(q) > n then continue_row := false
-          else begin
-            let v = read (done_reg ~n ~m q pos.(q)) in
-            if v > 0 then begin
-              done_set := Ostree.add v !done_set;
-              free := Ostree.remove v !free;
-              pos.(q) <- pos.(q) + 1
-            end
-            else continue_row := false
-          end
-        done
-      end
-    done
-  in
-  let running = ref true in
-  while !running do
-    if Ostree.diff_cardinal !free !tries >= beta then begin
-      let next_j =
-        Core.Policy.choose Core.Policy.Rank_split ~p:pid ~m ~free:!free
-          ~try_set:!tries
-      in
-      write (next_reg pid) next_j;
-      gather_try ();
-      gather_done ();
-      if
-        (not (Ostree.mem next_j !tries)) && not (Ostree.mem next_j !done_set)
-      then begin
-        do_job next_j;
-        write (done_reg ~n ~m pid pos.(pid)) next_j;
-        done_set := Ostree.add next_j !done_set;
-        free := Ostree.remove next_j !free;
-        pos.(pid) <- pos.(pid) + 1
-      end
-    end
-    else running := false
-  done
+  ignore
+    (Core.Kk_direct.run
+       (bank_regs ~m { base = 0; cols = n } ~pid ~read ~write)
+       ~policy:Core.Policy.Rank_split ~budget:max_int
+       ~ledger:(Shm.Metrics.create ~m) ~pid ~m ~beta ~cols:n
+       ~free0:(Ostree.of_range 1 n) ~perform:do_job)
 
-(* ---- IterativeKK(eps) over message passing ----
+let run_kk ?crash_plan ?max_deliveries ~servers ~n ~m ~beta ~rng () =
+  if m < 1 || n < m then invalid_arg "Kk_mp.run_kk: need 1 <= m <= n";
+  if beta < 1 then invalid_arg "Kk_mp.run_kk: beta must be >= 1";
+  Abd.run ?crash_plan ?max_deliveries ~servers
+    ~registers:(register_count ~n ~m)
+    ~rng
+    ~client_bodies:(Array.init m (fun i -> kk_body ~n ~m ~beta ~pid:(i + 1)))
+    ()
 
-   Register layout: one bank per super-job level l with K_l blocks:
-     base_l + q                          next[q], q in 1..m (SW)
-     base_l + m + (q-1)*K_l + c          done[q][c] (SW)
-     base_l + m + m*K_l + 1              the termination flag (MW)   *)
-
-type level_regs = { base : int; blocks : int }
-
-let level_layout ~m hierarchy =
-  let levels = Core.Superjob.num_levels hierarchy in
-  let banks = Array.make levels { base = 0; blocks = 0 } in
-  let base = ref 0 in
-  for l = 0 to levels - 1 do
-    let blocks = Core.Superjob.block_count hierarchy l in
-    banks.(l) <- { base = !base; blocks };
-    base := !base + m + (m * blocks) + 1
-  done;
-  (banks, !base)
-
-let lv_next bank q = bank.base + q
-
-let lv_done ~m bank q c =
-  assert (c >= 1 && c <= bank.blocks);
-  bank.base + m + ((q - 1) * bank.blocks) + c
-
-let lv_flag ~m bank = bank.base + m + (m * bank.blocks) + 1
-
-(* One IterStepKK instance over a level's registers (Fig. 3's inner
-   call: KK + flag-coordinated termination, output FREE \ TRY). *)
-let iter_step_body ~m ~beta ~bank ~pid ~read ~write ~perform ~free0 =
-  let free = ref free0 in
-  let done_set = ref Ostree.empty in
-  let tries = ref Ostree.empty in
-  let pos = Array.make (m + 1) 1 in
-  let gather_try () =
-    tries := Ostree.empty;
-    for q = 1 to m do
-      if q <> pid then begin
-        let v = read (lv_next bank q) in
-        if v > 0 then tries := Ostree.add v !tries
-      end
-    done
-  in
-  let gather_done () =
-    for q = 1 to m do
-      if q <> pid then begin
-        let continue_row = ref true in
-        while !continue_row do
-          if pos.(q) > bank.blocks then continue_row := false
-          else begin
-            let v = read (lv_done ~m bank q pos.(q)) in
-            if v > 0 then begin
-              done_set := Ostree.add v !done_set;
-              free := Ostree.remove v !free;
-              pos.(q) <- pos.(q) + 1
-            end
-            else continue_row := false
-          end
-        done
-      end
-    done
-  in
-  let finalize () =
-    gather_try ();
-    gather_done ();
-    Ostree.fold (fun x acc -> Ostree.remove x acc) !tries !free
-  in
-  let result = ref None in
-  while !result = None do
-    if Ostree.diff_cardinal !free !tries >= beta then begin
-      let id =
-        Core.Policy.choose Core.Policy.Rank_split ~p:pid ~m ~free:!free
-          ~try_set:!tries
-      in
-      write (lv_next bank pid) id;
-      gather_try ();
-      gather_done ();
-      if (not (Ostree.mem id !tries)) && not (Ostree.mem id !done_set) then begin
-        if read (lv_flag ~m bank) = 1 then result := Some (finalize ())
-        else begin
-          perform id;
-          write (lv_done ~m bank pid pos.(pid)) id;
-          done_set := Ostree.add id !done_set;
-          free := Ostree.remove id !free;
-          pos.(pid) <- pos.(pid) + 1
-        end
-      end
-    end
-    else begin
-      write (lv_flag ~m bank) 1;
-      result := Some (finalize ())
-    end
-  done;
-  Option.get !result
-
-let iterative_body ~hierarchy ~banks ~m ~beta ~pid ~read ~write ~do_job =
-  let levels = Core.Superjob.num_levels hierarchy in
-  let free = ref (Core.Superjob.ids_at hierarchy 0) in
-  for level = 0 to levels - 1 do
-    let perform id =
-      let lo, hi = Core.Superjob.interval hierarchy ~level ~id in
-      for j = lo to hi do
-        do_job j
-      done
-    in
-    let out =
-      iter_step_body ~m ~beta ~bank:banks.(level) ~pid ~read ~write ~perform
-        ~free0:!free
-    in
-    if level + 1 < levels then
-      free := Core.Superjob.map_down hierarchy ~from_level:level out
-  done
+(* ---- IterativeKK(eps) over message passing ---- *)
 
 let run_iterative ?crash_plan ?max_deliveries ~servers ~n ~m ~epsilon_inv ~rng
     () =
@@ -191,44 +55,31 @@ let run_iterative ?crash_plan ?max_deliveries ~servers ~n ~m ~epsilon_inv ~rng
   let beta = 3 * m * m in
   let sizes = Core.Iterative.sizes ~n ~m ~epsilon_inv in
   let hierarchy = Core.Superjob.build ~n ~sizes in
-  let banks, registers = level_layout ~m hierarchy in
-  let flags =
-    Array.to_list banks |> List.map (fun bank -> lv_flag ~m bank)
+  let levels = Core.Superjob.num_levels hierarchy in
+  let banks = Array.make levels { base = 0; cols = 0 } in
+  let registers = ref 0 in
+  for l = 0 to levels - 1 do
+    let cols = Core.Superjob.block_count hierarchy l in
+    banks.(l) <- { base = !registers; cols };
+    registers := !registers + m + (m * cols) + 1
+  done;
+  let flags = Array.to_list (Array.map (flag_reg ~m) banks) in
+  let body pid ~read ~write ~do_job =
+    Core.Kk_direct.iterative ~hierarchy ~ledger:(Shm.Metrics.create ~m) ~pid
+      ~m ~beta
+      ~regs:(fun l -> bank_regs ~m banks.(l) ~pid ~read ~write)
+      ~flag:(fun l ->
+        let r = flag_reg ~m banks.(l) in
+        { Core.Kk_direct.is_set = (fun () -> read r = 1);
+          set = (fun () -> write r 1) })
+      ~perform:(fun level id ->
+        let lo, hi = Core.Superjob.interval hierarchy ~level ~id in
+        for j = lo to hi do
+          do_job j
+        done)
   in
-  let bodies =
-    Array.init m (fun i ->
-        fun ~read ~write ~do_job ->
-          iterative_body ~hierarchy ~banks ~m ~beta ~pid:(i + 1) ~read ~write
-            ~do_job)
-  in
-  let o =
-    Abd.run ?crash_plan ?max_deliveries
-      ~multi_writer:(fun reg -> List.mem reg flags)
-      ~servers ~registers ~rng ~client_bodies:bodies ()
-  in
-  {
-    dos = o.Abd.dos;
-    completed = o.Abd.completed;
-    stuck = o.Abd.stuck;
-    crashed_clients = o.Abd.crashed_clients;
-    deliveries = o.Abd.deliveries;
-  }
-
-let run_kk ?crash_plan ?max_deliveries ~servers ~n ~m ~beta ~rng () =
-  if m < 1 || n < m then invalid_arg "Kk_mp.run_kk: need 1 <= m <= n";
-  if beta < 1 then invalid_arg "Kk_mp.run_kk: beta must be >= 1";
-  let bodies =
-    Array.init m (fun i -> kk_body ~n ~m ~beta ~pid:(i + 1))
-  in
-  let o =
-    Abd.run ?crash_plan ?max_deliveries ~servers
-      ~registers:(register_count ~n ~m)
-      ~rng ~client_bodies:bodies ()
-  in
-  {
-    dos = o.Abd.dos;
-    completed = o.Abd.completed;
-    stuck = o.Abd.stuck;
-    crashed_clients = o.Abd.crashed_clients;
-    deliveries = o.Abd.deliveries;
-  }
+  Abd.run ?crash_plan ?max_deliveries
+    ~multi_writer:(fun reg -> List.mem reg flags)
+    ~servers ~registers:!registers ~rng
+    ~client_bodies:(Array.init m (fun i -> body (i + 1)))
+    ()

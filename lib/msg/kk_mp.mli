@@ -11,11 +11,12 @@
     registers are atomic and the emulation is wait-free for clients
     while a server majority survives).
 
-    The client body here is a direct-style transcription of Fig. 2 —
-    the same one the multicore runner uses — with every shared access
-    going through an ABD operation. *)
+    The client body is {!Core.Kk_direct}, the one direct-style
+    transcription of Fig. 2 (Fig. 3 for IterativeKK) that the
+    multicore runner also runs; here every shared access goes through
+    an ABD operation. *)
 
-type outcome = {
+type outcome = Abd.outcome = {
   dos : (int * int) list;
   completed : int list;
   stuck : int list;
@@ -28,7 +29,9 @@ val register_count : n:int -> m:int -> int
     m × n done matrix. *)
 
 val kk_body : n:int -> m:int -> beta:int -> pid:int -> Abd.body
-(** Process [pid]'s program: Fig. 2 against [read]/[write]. *)
+(** Process [pid]'s program: {!Core.Kk_direct.run} against
+    [read]/[write], on register indices [next\[q\] = q] and
+    [done\[q\]\[c\] = m + (q−1)·n + c]. *)
 
 val run_kk :
   ?crash_plan:(int * [ `Client of int | `Server of int ]) list ->

@@ -5,91 +5,43 @@ type outcome = {
   metrics : Shm.Metrics.t;
 }
 
-(* Each domain owns a full-width ledger but only ever touches its own
-   pid's cells, so counting is uncontended; the ledgers are merged
-   after join.  Work charges mirror the simulator's (Core.Kk): the
-   rank cost per compNext, one tree-op unit per gather hit, two per
-   done-set update, so measured multicore work is comparable with
-   Theorem 5.6's bound the same way E4's is. *)
+(* Process [pid]'s view of one bank of atomic registers: [next] (m
+   cells) and [done_m] (m rows). *)
+let atomic_regs ~pid next done_m =
+  {
+    Core.Kk_direct.read_next = (fun q -> Atomic_mem.vget next q);
+    write_next = (fun v -> Atomic_mem.vset next pid v);
+    read_done = (fun q c -> Atomic_mem.mget done_m q c);
+    write_done = (fun c v -> Atomic_mem.mset done_m pid c v);
+  }
 
-(* One process's run: a direct transcription of Fig. 2 against atomic
-   registers.  Shared state: [next] (m cells) and [done_m] (m x n). *)
-let process_loop ~n ~m ~beta ~policy ~budget ~next ~done_m ~pid ~ledger
-    ~log_unit ~emit =
-  let free = ref (Ostree.of_range 1 n) in
-  let done_set = ref Ostree.empty in
-  let tries = ref Ostree.empty in
-  let pos = Array.make (m + 1) 1 in
-  let performed = ref [] in
-  let count = ref 0 in
-  let gather_try () =
-    tries := Ostree.empty;
-    for q = 1 to m do
-      if q <> pid then begin
-        let v = Atomic_mem.vget next q in
-        Shm.Metrics.on_read ledger ~p:pid;
-        if v > 0 then begin
-          tries := Ostree.add v !tries;
-          Shm.Metrics.add_work ledger ~p:pid log_unit
-        end
-      end
-    done
+(* Runs one domain per process.  [spawn ~pid ledger] is called in the
+   parent and returns the domain's body; [jobs log f] calls [f] on each
+   job of a joined domain's log, in program order.  Each domain owns a
+   full-width ledger but only ever touches its own pid's cells, so
+   counting is uncontended; the ledgers are merged after join. *)
+let on_domains ~m ~spawn ~jobs =
+  let ledgers = Array.init m (fun _ -> Shm.Metrics.create ~m) in
+  let t0 = Unix.gettimeofday () in
+  let domains =
+    Array.init m (fun i -> Domain.spawn (spawn ~pid:(i + 1) ledgers.(i)))
   in
-  let gather_done () =
-    for q = 1 to m do
-      if q <> pid then begin
-        let continue = ref true in
-        while !continue do
-          if pos.(q) > n then continue := false
-          else begin
-            let v = Atomic_mem.mget done_m q pos.(q) in
-            Shm.Metrics.on_read ledger ~p:pid;
-            if v > 0 then begin
-              done_set := Ostree.add v !done_set;
-              free := Ostree.remove v !free;
-              pos.(q) <- pos.(q) + 1;
-              Shm.Metrics.add_work ledger ~p:pid (2 * log_unit)
-            end
-            else continue := false
-          end
-        done
-      end
-    done
-  in
-  let running = ref true in
-  while !running do
-    if Ostree.diff_cardinal !free !tries >= beta && !count < budget then begin
-      Shm.Metrics.on_internal ledger ~p:pid;
-      Shm.Metrics.add_work ledger ~p:pid
-        (Core.Policy.work_cost ~try_cardinal:(Ostree.cardinal !tries)
-           ~log_n:log_unit);
-      let next_j = Core.Policy.choose policy ~p:pid ~m ~free:!free ~try_set:!tries in
-      Atomic_mem.vset next pid next_j;
-      Shm.Metrics.on_write ledger ~p:pid;
-      gather_try ();
-      gather_done ();
-      Shm.Metrics.on_internal ledger ~p:pid;
-      Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-      if
-        (not (Ostree.mem next_j !tries)) && not (Ostree.mem next_j !done_set)
-      then begin
-        (* do the job, then publish it *)
-        performed := next_j :: !performed;
-        incr count;
-        emit next_j;
-        Shm.Metrics.on_internal ledger ~p:pid;
-        Shm.Metrics.add_work ledger ~p:pid 1;
-        Atomic_mem.mset done_m pid pos.(pid) next_j;
-        Shm.Metrics.on_write ledger ~p:pid;
-        Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-        done_set := Ostree.add next_j !done_set;
-        free := Ostree.remove next_j !free;
-        pos.(pid) <- pos.(pid) + 1
-      end
-    end
-    else running := false
-  done;
-  List.rev !performed
+  let logs = Array.map Domain.join domains in
+  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let metrics = Shm.Metrics.create ~m in
+  Array.iter (Shm.Metrics.merge metrics) ledgers;
+  let per_process = Array.make (m + 1) 0 in
+  (* build reversed, then flip once so the log is chronological per
+     process *)
+  let dos = ref [] in
+  Array.iteri
+    (fun i log ->
+      let pid = i + 1 in
+      jobs log (fun j ->
+          dos := (pid, j) :: !dos;
+          per_process.(pid) <- per_process.(pid) + 1))
+    logs;
+  { dos = List.rev !dos; per_process; wall_seconds; metrics }
 
 (* ---- IterativeKK(eps) on domains ---- *)
 
@@ -99,96 +51,6 @@ type level_shared = {
   lv_flag : int Atomic.t;
 }
 
-(* One IterStepKK instance (Fig. 3 inner call) for process [pid] on
-   level [ls]: KK with the shared termination flag; returns the output
-   set FREE \ TRY (ids of this level's super-jobs). *)
-let iter_step_loop ~m ~beta ~policy ~ls ~pid ~free0 ~performed ~ledger =
-  let cols = Atomic_mem.mcols ls.lv_done in
-  let log_unit = Core.Params.log2_ceil (max 2 cols) in
-  let free = ref free0 in
-  let done_set = ref Ostree.empty in
-  let tries = ref Ostree.empty in
-  let pos = Array.make (m + 1) 1 in
-  let gather_try () =
-    tries := Ostree.empty;
-    for q = 1 to m do
-      if q <> pid then begin
-        let v = Atomic_mem.vget ls.lv_next q in
-        Shm.Metrics.on_read ledger ~p:pid;
-        if v > 0 then begin
-          tries := Ostree.add v !tries;
-          Shm.Metrics.add_work ledger ~p:pid log_unit
-        end
-      end
-    done
-  in
-  let gather_done () =
-    for q = 1 to m do
-      if q <> pid then begin
-        let continue = ref true in
-        while !continue do
-          if pos.(q) > cols then continue := false
-          else begin
-            let v = Atomic_mem.mget ls.lv_done q pos.(q) in
-            Shm.Metrics.on_read ledger ~p:pid;
-            if v > 0 then begin
-              done_set := Ostree.add v !done_set;
-              free := Ostree.remove v !free;
-              pos.(q) <- pos.(q) + 1;
-              Shm.Metrics.add_work ledger ~p:pid (2 * log_unit)
-            end
-            else continue := false
-          end
-        done
-      end
-    done
-  in
-  (* the termination sequence: flag is already set (or observed set);
-     recompute TRY and DONE, return FREE \ TRY *)
-  let finalize () =
-    gather_try ();
-    gather_done ();
-    Ostree.fold (fun x acc -> Ostree.remove x acc) !tries !free
-  in
-  let result = ref None in
-  while !result = None do
-    if Ostree.diff_cardinal !free !tries >= beta then begin
-      Shm.Metrics.on_internal ledger ~p:pid;
-      Shm.Metrics.add_work ledger ~p:pid
-        (Core.Policy.work_cost ~try_cardinal:(Ostree.cardinal !tries)
-           ~log_n:log_unit);
-      let id = Core.Policy.choose policy ~p:pid ~m ~free:!free ~try_set:!tries in
-      Atomic_mem.vset ls.lv_next pid id;
-      Shm.Metrics.on_write ledger ~p:pid;
-      gather_try ();
-      gather_done ();
-      Shm.Metrics.on_internal ledger ~p:pid;
-      Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-      if (not (Ostree.mem id !tries)) && not (Ostree.mem id !done_set) then begin
-        let flag = Atomic.get ls.lv_flag in
-        Shm.Metrics.on_read ledger ~p:pid;
-        if flag = 1 then result := Some (finalize ())
-        else begin
-          performed id;
-          Shm.Metrics.on_internal ledger ~p:pid;
-          Shm.Metrics.add_work ledger ~p:pid 1;
-          Atomic_mem.mset ls.lv_done pid pos.(pid) id;
-          Shm.Metrics.on_write ledger ~p:pid;
-          Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-          done_set := Ostree.add id !done_set;
-          free := Ostree.remove id !free;
-          pos.(pid) <- pos.(pid) + 1
-        end
-      end
-    end
-    else begin
-      Atomic.set ls.lv_flag 1;
-      Shm.Metrics.on_write ledger ~p:pid;
-      result := Some (finalize ())
-    end
-  done;
-  Option.get !result
-
 let run_iterative ~n ~m ~epsilon_inv () =
   if m < 1 || n < m then invalid_arg "Runner.run_iterative: need 1 <= m <= n";
   if epsilon_inv < 1 then
@@ -196,9 +58,8 @@ let run_iterative ~n ~m ~epsilon_inv () =
   let beta = 3 * m * m in
   let sizes = Core.Iterative.sizes ~n ~m ~epsilon_inv in
   let hierarchy = Core.Superjob.build ~n ~sizes in
-  let num_levels = Core.Superjob.num_levels hierarchy in
   let levels =
-    Array.init num_levels (fun k ->
+    Array.init (Core.Superjob.num_levels hierarchy) (fun k ->
         {
           lv_next = Atomic_mem.vector ~len:m ~init:0;
           lv_done =
@@ -208,82 +69,51 @@ let run_iterative ~n ~m ~epsilon_inv () =
           lv_flag = Atomic.make 0;
         })
   in
-  let ledgers = Array.init m (fun _ -> Shm.Metrics.create ~m) in
-  let t0 = Unix.gettimeofday () in
-  let domains =
-    Array.init m (fun i ->
-        let pid = i + 1 in
-        let ledger = ledgers.(i) in
-        Domain.spawn (fun () ->
-            let performed = ref [] in
-            let free = ref (Core.Superjob.ids_at hierarchy 0) in
-            for level = 0 to num_levels - 1 do
-              let log id = performed := (level, id) :: !performed in
-              let out =
-                iter_step_loop ~m ~beta ~policy:Core.Policy.Rank_split
-                  ~ls:levels.(level) ~pid ~free0:!free ~performed:log ~ledger
-              in
-              if level + 1 < num_levels then
-                free := Core.Superjob.map_down hierarchy ~from_level:level out
-            done;
-            List.rev !performed))
+  let flag l =
+    let f = levels.(l).lv_flag in
+    { Core.Kk_direct.is_set = (fun () -> Atomic.get f = 1);
+      set = (fun () -> Atomic.set f 1) }
   in
-  let logs = Array.map Domain.join domains in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
-  let metrics = Shm.Metrics.create ~m in
-  Array.iter (Shm.Metrics.merge metrics) ledgers;
-  let per_process = Array.make (m + 1) 0 in
-  let dos = ref [] in
-  (* expand super-jobs into their constituent jobs; build reversed,
-     then flip once so the log is chronological per process *)
-  Array.iteri
-    (fun i log ->
-      let pid = i + 1 in
-      List.iter
-        (fun (level, id) ->
-          let lo, hi = Core.Superjob.interval hierarchy ~level ~id in
-          for j = lo to hi do
-            dos := (pid, j) :: !dos;
-            per_process.(pid) <- per_process.(pid) + 1
-          done)
-        log)
-    logs;
-  { dos = List.rev !dos; per_process; wall_seconds; metrics }
+  (* super-jobs are expanded into their constituent jobs after join *)
+  let jobs log f =
+    List.iter
+      (fun (level, id) ->
+        let lo, hi = Core.Superjob.interval hierarchy ~level ~id in
+        for j = lo to hi do
+          f j
+        done)
+      log
+  in
+  on_domains ~m ~jobs ~spawn:(fun ~pid ledger () ->
+      let performed = ref [] in
+      Core.Kk_direct.iterative ~hierarchy ~ledger ~pid ~m ~beta ~flag
+        ~regs:(fun l -> atomic_regs ~pid levels.(l).lv_next levels.(l).lv_done)
+        ~perform:(fun level id -> performed := (level, id) :: !performed);
+      List.rev !performed)
 
 let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
-    ?(job_budget = fun ~pid:_ -> max_int) ?(sink = Obs.Sink.null) ?rings
-    ?journals ?rtevents () =
+    ?(job_budget = fun ~pid:_ -> max_int) ?(sink = Obs.Sink.null) ?journals
+    ?rtevents () =
   if m < 1 || n < m then invalid_arg "Runner.run_kk: need 1 <= m <= n";
   if beta < 1 then invalid_arg "Runner.run_kk: beta must be >= 1";
-  (match rings with
-  | Some r when Array.length r <> m ->
-      invalid_arg "Runner.run_kk: rings must have one ring per domain"
-  | _ -> ());
   (match journals with
   | Some j when Array.length j <> m ->
       invalid_arg "Runner.run_kk: journals must have one flight per domain"
   | _ -> ());
   let next = Atomic_mem.vector ~len:m ~init:0 in
   let done_m = Atomic_mem.matrix ~rows:m ~cols:n ~init:0 in
-  let log_unit = Core.Params.log2_ceil (max 2 n) in
-  let ledgers = Array.init m (fun _ -> Shm.Metrics.create ~m) in
   (* all domains share [sink]; the caller must pass a {!Obs.Sink.locked}
      wrapper (or null) — a fetch-and-add counter provides a global
-     emission order to use as the logical timestamp.  [rings], by
-     contrast, are per-domain SPSC channels: domain i pushes only into
-     rings.(i), lock-free, and the caller drains them concurrently —
-     the fixed-cost telemetry path that needs no mutex. *)
+     emission order to use as the logical timestamp.  [journals], by
+     contrast, are per-domain single-writer channels: domain i appends
+     only to journals.(i) — no mutex needed — and the caller stitches
+     them back together offline with [Obs.Journal.merge] (the
+     fetch-and-add [ts] makes the merged order total and
+     deterministic). *)
   let seq = Atomic.make 0 in
   let emit_for pid =
-    let ring = Option.map (fun r -> r.(pid - 1)) rings in
-    (* journals, like rings, are per-domain single-writer channels:
-       domain i appends only to journals.(i) — no mutex needed — and
-       the caller stitches them back together offline with
-       [Obs.Journal.merge] (the fetch-and-add [ts] makes the merged
-       order total and deterministic) *)
     let journal = Option.map (fun j -> j.(pid - 1)) journals in
-    if Obs.Sink.is_null sink && Option.is_none ring && Option.is_none journal
-    then fun _ -> ()
+    if Obs.Sink.is_null sink && Option.is_none journal then fun _ -> ()
     else fun job ->
       let r =
         Obs.Sink.record
@@ -292,7 +122,6 @@ let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
           ~args:[ ("job", Obs.Json.Int job) ]
           "mc.do"
       in
-      (match ring with Some rg -> ignore (Obs.Ring.push rg r) | None -> ());
       (match journal with
       | Some fl -> Obs.Flight.push fl (Obs.Journal.encode (Obs.Journal.Record r))
       | None -> ());
@@ -306,37 +135,30 @@ let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
      the on/off delta is exactly what E18's overhead gate measures. *)
   let instrument = Option.is_some rtevents in
   if instrument then Obs.Rtevents.emit_begin "mc.run";
-  let t0 = Unix.gettimeofday () in
-  let domains =
-    Array.init m (fun i ->
-        let pid = i + 1 in
-        let pol = policy ~pid in
+  let outcome =
+    on_domains ~m
+      ~jobs:(fun log f -> List.iter f log)
+      ~spawn:(fun ~pid ledger ->
+        let policy = policy ~pid in
         let budget = job_budget ~pid in
-        let ledger = ledgers.(i) in
         let emit = emit_for pid in
-        Domain.spawn (fun () ->
-            let body () =
-              process_loop ~n ~m ~beta ~policy:pol ~budget ~next ~done_m ~pid
-                ~ledger ~log_unit ~emit
-            in
-            if instrument then Obs.Rtevents.with_span "mc.domain" body
-            else body ()))
+        let regs = atomic_regs ~pid next done_m in
+        fun () ->
+          let body () =
+            let performed = ref [] in
+            ignore
+              (Core.Kk_direct.run regs ~policy ~budget ~ledger ~pid ~m ~beta
+                 ~cols:n ~free0:(Ostree.of_range 1 n) ~perform:(fun j ->
+                   performed := j :: !performed;
+                   emit j));
+            List.rev !performed
+          in
+          if instrument then Obs.Rtevents.with_span "mc.domain" body
+          else body ())
   in
-  let logs = Array.map Domain.join domains in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
   (match rtevents with
   | Some re ->
       Obs.Rtevents.emit_end "mc.run";
       ignore (Obs.Rtevents.poll re)
   | None -> ());
-  let metrics = Shm.Metrics.create ~m in
-  Array.iter (Shm.Metrics.merge metrics) ledgers;
-  let per_process = Array.make (m + 1) 0 in
-  let dos = ref [] in
-  Array.iteri
-    (fun i jobs ->
-      let pid = i + 1 in
-      per_process.(pid) <- List.length jobs;
-      List.iter (fun j -> dos := (pid, j) :: !dos) jobs)
-    logs;
-  { dos = List.rev !dos; per_process; wall_seconds; metrics }
+  outcome

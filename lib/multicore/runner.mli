@@ -1,9 +1,12 @@
 (** KKβ on real parallel hardware.
 
-    Runs the same algorithm as {!Core.Kk} — a line-for-line
-    transcription of Fig. 2, with the same {!Core.Policy} candidate
-    rule and the same {!Ostree} sets — but with each process on its
-    own OCaml 5 domain and every shared cell an atomic register.  The
+    Runs the same algorithm as {!Core.Kk}, with the same {!Core.Policy}
+    candidate rule and the same {!Ostree} sets, but with each process
+    on its own OCaml 5 domain and every shared cell an atomic register.
+    The loop itself is {!Core.Kk_direct}, the one direct-style
+    transcription of Fig. 2 (and Fig. 3) that [Msg.Kk_mp] also runs
+    on ABD-emulated registers; this module only maps its register
+    accessors onto {!Atomic_mem} and spawns the domains.  The
     scheduler is now the actual machine, so this cannot explore
     worst-case interleavings (that is the simulator's job); what it
     demonstrates is that the algorithm's safety does not depend on any
@@ -37,7 +40,6 @@ val run_kk :
   ?policy:(pid:int -> Core.Policy.t) ->
   ?job_budget:(pid:int -> int) ->
   ?sink:Obs.Sink.t ->
-  ?rings:Obs.Sink.record Obs.Ring.t array ->
   ?journals:Obs.Flight.t array ->
   ?rtevents:Obs.Rtevents.t ->
   unit ->
@@ -54,16 +56,10 @@ val run_kk :
     a fetch-and-add global emission index, [pid] the performing
     domain.
 
-    [rings] (optional, length [m]) is the lock-free alternative: domain
-    [i] pushes its [mc.do] records only into [rings.(i)] — SPSC, no
-    mutex, fixed cost — and the caller drains or peeks them, possibly
-    concurrently with the run (live telemetry).  A full ring counts
-    drops instead of blocking.  Both channels may be used at once.
-
-    [journals] (optional, length [m]) is the durable per-domain
-    variant: domain [i] appends its [mc.do] records, binary-encoded,
-    only to the flight recorder [journals.(i)] (single-writer, no
-    mutex).  Dump them with {!Obs.Journal.dump} and stitch the
+    [journals] (optional, length [m]) is the lock-free, durable
+    per-domain alternative: domain [i] appends its [mc.do] records,
+    binary-encoded, only to the flight recorder [journals.(i)]
+    (single-writer, no mutex).  Dump them with {!Obs.Journal.dump} and stitch the
     per-domain streams back into one deterministic total order with
     {!Obs.Journal.merge} or [amo_run trace merge] — the fetch-and-add
     [ts] breaks every tie.
@@ -75,14 +71,14 @@ val run_kk :
     costs nothing (E18 gates the instrumented overhead below 5%).
 
     @raise Invalid_argument unless [1 <= m <= n], [beta >= 1], and
-    [rings] (when given) has length [m]. *)
+    [journals] (when given) has length [m]. *)
 
 val run_iterative : n:int -> m:int -> epsilon_inv:int -> unit -> outcome
 (** The full IterativeKK(ε) (at-most-once variant, §6) on real
     domains: per-level atomic [next]/[done]/flag, the IterStepKK
     termination protocol (set flag → re-gather → output FREE \ TRY),
-    and per-process [map] between levels — a transcription of
-    Fig. 3 with β = 3m².  [dos] reports individual jobs (super-jobs
+    and per-process [map] between levels — {!Core.Kk_direct.iterative}
+    with β = 3m².  [dos] reports individual jobs (super-jobs
     expanded), so the same {!Core.Spec} checker applies.
     @raise Invalid_argument unless [1 <= m <= n] and
     [epsilon_inv >= 1]. *)

@@ -5,7 +5,7 @@
     the process opted in.  The initial level comes from the [AMO_LOG]
     environment variable ([quiet]/[info]/[debug], default [quiet]);
     applications can override it with {!set_level} (e.g. from a
-    [--log-level] flag).  Re-exported to applications as [Obs.Log].
+    [--log-level] flag).
 
     Output goes to a settable formatter (default: stderr), so tests
     can capture it and benchmark stdout stays machine-parsable. *)

@@ -348,6 +348,47 @@ let test_kk_mp_with_duplication () =
   let done_ = Core.Spec.do_count o.Msg.Abd.dos in
   if done_ < n - ((2 * m) - 2) then Alcotest.failf "did %d" done_
 
+(* Seeded ABD runs are deterministic: these deliveries and do-logs pin
+   the register-access sequence of the shared KKβ body
+   (Core.Kk_direct), so a change to its order of reads and writes
+   shows up here. *)
+let test_kk_mp_pinned () =
+  let check name (deliveries, dos) (o : Msg.Kk_mp.outcome) =
+    Alcotest.(check int) (name ^ " deliveries") deliveries o.deliveries;
+    Alcotest.(check (list (pair int int))) (name ^ " do-log") dos o.dos
+  in
+  List.iter
+    (fun (seed, kk, iterative) ->
+      let rng () = Util.Prng.of_int seed in
+      check (Printf.sprintf "kk seed %d" seed) kk
+        (Msg.Kk_mp.run_kk ~servers:3 ~n:12 ~m:3 ~beta:3 ~rng:(rng ()) ());
+      check (Printf.sprintf "iterative seed %d" seed) iterative
+        (Msg.Kk_mp.run_iterative ~servers:3 ~n:24 ~m:2 ~epsilon_inv:1
+           ~rng:(rng ()) ()))
+    [
+      ( 1,
+        ( 941,
+          [ (1, 1); (2, 4); (3, 7); (2, 6); (3, 10); (1, 2); (2, 8); (3, 11);
+            (1, 3); (2, 5); (3, 9) ] ),
+        ( 993,
+          [ (1, 1); (2, 12); (1, 2); (2, 14); (1, 3); (2, 15); (1, 4); (2, 16);
+            (1, 5); (2, 17); (1, 6); (1, 7); (2, 13) ] ) );
+      ( 2,
+        ( 923,
+          [ (2, 4); (1, 1); (3, 7); (2, 6); (3, 10); (1, 2); (3, 11); (2, 8);
+            (1, 3); (3, 9) ] ),
+        ( 1054,
+          [ (1, 1); (2, 12); (1, 2); (2, 14); (1, 3); (2, 13); (1, 4); (2, 15);
+            (2, 16); (1, 5); (2, 18); (1, 6); (2, 19); (1, 7) ] ) );
+      ( 3,
+        ( 1119,
+          [ (2, 4); (3, 7); (1, 1); (2, 6); (3, 10); (1, 2); (1, 3); (2, 5);
+            (3, 11); (3, 12); (2, 9); (1, 8) ] ),
+        ( 1018,
+          [ (2, 12); (1, 1); (2, 14); (1, 2); (1, 3); (2, 15); (1, 4); (2, 16);
+            (2, 17); (1, 5); (2, 18); (1, 6); (2, 13) ] ) );
+    ]
+
 let test_kk_mp_register_layout () =
   Alcotest.(check int) "count" (4 + (4 * 10))
     (Msg.Kk_mp.register_count ~n:10 ~m:4)
@@ -389,6 +430,7 @@ let suite =
       test_iterative_mp;
     Alcotest.test_case "kk-mp: iterative with client crash" `Quick
       test_iterative_mp_with_crash;
+    Alcotest.test_case "kk-mp: pinned seeded runs" `Quick test_kk_mp_pinned;
     Alcotest.test_case "kk-mp: register layout" `Quick
       test_kk_mp_register_layout;
   ]

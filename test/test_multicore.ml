@@ -42,7 +42,38 @@ let test_budget_emulates_crash () =
   Alcotest.(check bool) "p1 capped" true (r.Multicore.Runner.per_process.(1) <= 5);
   let done_ = Core.Spec.do_count r.Multicore.Runner.dos in
   (* one crash: still within the wait-free guarantee *)
-  if done_ < n - (2 * m) + 2 then Alcotest.failf "did %d" done_
+  if done_ < n - (2 * m) + 2 then Alcotest.failf "did %d" done_;
+  (* a zero budget stops every process before its first register access *)
+  let r =
+    Multicore.Runner.run_kk ~n ~m ~beta:m ~job_budget:(fun ~pid:_ -> 0) ()
+  in
+  Alcotest.(check int) "zero budget: no actions" 0
+    (Shm.Metrics.total_actions r.Multicore.Runner.metrics);
+  Alcotest.(check int) "zero budget: no jobs" 0
+    (List.length r.Multicore.Runner.dos)
+
+(* At m = 1 no scheduler choice is left, so the simulator's automaton
+   and the runner's direct-style body must perform the same jobs in the
+   same order with the same shared reads and writes.  (Internal actions
+   and work are counted differently by design.) *)
+let test_single_process_matches_simulator () =
+  let n = 1000 in
+  let same name ~jobs ~rw (sim : Core.Harness.summary)
+      (mc : Multicore.Runner.outcome) =
+    let rw_of m = (Shm.Metrics.total_reads m, Shm.Metrics.total_writes m) in
+    Alcotest.(check (list (pair int int))) (name ^ " do-log") sim.dos mc.dos;
+    Alcotest.(check int) (name ^ " jobs") jobs (Core.Spec.do_count mc.dos);
+    Alcotest.(check (pair int int)) (name ^ " sim reads/writes") rw
+      (rw_of sim.metrics);
+    Alcotest.(check (pair int int)) (name ^ " mc reads/writes") rw
+      (rw_of mc.metrics)
+  in
+  same "kk" ~jobs:1000 ~rw:(0, 2000)
+    (Core.Harness.kk ~n ~m:1 ~beta:1 ())
+    (Multicore.Runner.run_kk ~n ~m:1 ~beta:1 ());
+  same "iterative" ~jobs:998 ~rw:(116, 236)
+    (Core.Harness.iterative ~n ~m:1 ~epsilon_inv:2 ())
+    (Multicore.Runner.run_iterative ~n ~m:1 ~epsilon_inv:2 ())
 
 let test_random_policy_on_domains () =
   let r =
@@ -103,6 +134,8 @@ let suite =
     Alcotest.test_case "effectiveness on real domains" `Slow
       test_effectiveness_on_domains;
     Alcotest.test_case "budget emulates crash" `Slow test_budget_emulates_crash;
+    Alcotest.test_case "single process matches simulator" `Quick
+      test_single_process_matches_simulator;
     Alcotest.test_case "random policy on domains" `Slow
       test_random_policy_on_domains;
     Alcotest.test_case "iterative on real domains" `Slow

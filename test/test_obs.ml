@@ -821,17 +821,17 @@ let exercise_libraries () =
   ignore (Core.Harness.iterative ~n:64 ~m:2 ~epsilon_inv:1 ())
 
 let test_libraries_silent_by_default () =
-  let saved = Obs.Log.level () in
-  Obs.Log.set_level Obs.Log.Quiet;
+  let saved = Util.Logging.level () in
+  Util.Logging.set_level Util.Logging.Quiet;
   let captured = with_output_captured exercise_libraries in
-  Obs.Log.set_level saved;
+  Util.Logging.set_level saved;
   Alcotest.(check string) "no unconditional output" "" captured
 
 let test_logging_opt_in () =
-  let saved = Obs.Log.level () in
-  Obs.Log.set_level Obs.Log.Debug;
+  let saved = Util.Logging.level () in
+  Util.Logging.set_level Util.Logging.Debug;
   let captured = with_output_captured exercise_libraries in
-  Obs.Log.set_level saved;
+  Util.Logging.set_level saved;
   Alcotest.(check bool) "debug level produces diagnostics" true
     (captured <> "");
   Alcotest.(check bool) "tagged lines" true
