@@ -33,19 +33,19 @@ let claim_factory ~n ~m () =
    exhaust their reduced execution space long before hitting it *)
 let deep = 1_000_000
 
-(* differential pass over the parallel engine: on every fully covered
-   instance, {!Analysis.Pexplore} (on AMO_DOMAINS domains, default 2)
-   must produce the same canonical do-log set as the sequential
-   explorer — with the fingerprint cache on (pruned), and, where the
-   space is small enough to pay for a second full enumeration, the
-   same execution count with the cache off too. *)
-let pexplore_domains =
+(* differential pass over domain counts: on every fully covered
+   instance, the explorer on AMO_DOMAINS domains (default 2) must
+   produce the same canonical do-log set as on one domain — with the
+   fingerprint cache on (pruned), and, where the space is small enough
+   to pay for a second full enumeration, the same execution count with
+   the cache off too. *)
+let par_domains =
   match Sys.getenv_opt "AMO_DOMAINS" with
   | Some s -> (
       match int_of_string_opt s with Some d when d >= 1 -> d | _ -> 2)
   | None -> 2
 
-let pexplore_differential ~factory =
+let domains_differential ~factory =
   let canon explore_fn =
     let tbl = Hashtbl.create 256 in
     let execs = ref 0 in
@@ -66,9 +66,9 @@ let pexplore_differential ~factory =
   let pruned_set, _ =
     canon (fun f ->
         ignore
-          (Analysis.Pexplore.explore ~strategy:E.Por
-             ~domains:pexplore_domains ~fingerprint:true ~factory
-             ~branch_depth:deep ~max_steps:50_000 ~on_execution:f ()))
+          (E.explore ~strategy:E.Por ~domains:par_domains ~fingerprint:true
+             ~factory ~branch_depth:deep ~max_steps:50_000 ~on_execution:f
+             ()))
   in
   let mismatches = ref 0 in
   if pruned_set <> seq_set then incr mismatches;
@@ -79,9 +79,8 @@ let pexplore_differential ~factory =
     let off_set, off_execs =
       canon (fun f ->
           ignore
-            (Analysis.Pexplore.explore ~strategy:E.Por
-               ~domains:pexplore_domains ~factory ~branch_depth:deep
-               ~max_steps:50_000 ~on_execution:f ()))
+            (E.explore ~strategy:E.Por ~domains:par_domains ~factory
+               ~branch_depth:deep ~max_steps:50_000 ~on_execution:f ()))
     in
     if off_set <> seq_set then incr mismatches;
     if off_execs <> seq_execs then incr mismatches
@@ -122,10 +121,10 @@ let run () =
     | _ -> ());
     let par_diff =
       if full then begin
-        let mismatches = pexplore_differential ~factory in
+        let mismatches = domains_differential ~factory in
         pexplore_total := !pexplore_total + mismatches;
         if mismatches > 0 then all_ok := false;
-        if mismatches = 0 then Printf.sprintf "ok (d=%d)" pexplore_domains
+        if mismatches = 0 then Printf.sprintf "ok (d=%d)" par_domains
         else Printf.sprintf "%d MISMATCH" mismatches
       end
       else "-"

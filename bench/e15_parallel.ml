@@ -1,13 +1,12 @@
 (* E15 — domain-parallel exploration with state-fingerprint caching.
 
-   {!Analysis.Pexplore} claims two things the tests pin down and this
-   experiment measures at bench scale:
+   {!Analysis.Explore.explore} on several domains claims two things
+   the tests pin down and this experiment measures at bench scale:
 
    - determinism of the parallel merge: with the cache off, the
      execution stream (schedules AND do-logs, in order) is
-     byte-identical to sequential {!Analysis.Explore.explore} for
-     every domain count — so the verdict gates on stream/set equality,
-     NOT on wall-clock;
+     byte-identical to the one-domain walk for every domain count — so
+     the verdict gates on stream/set equality, NOT on wall-clock;
    - the fingerprint cache preserves canonical do-log sets (and hence
      every oracle verdict) while pruning re-explored states.
 
@@ -18,24 +17,15 @@
 
 open Exp_common
 module E = Analysis.Explore
-module P = Analysis.Pexplore
 
 let deep = 1_000_000
 let max_steps = 50_000
 
 (* stream = the full (schedule, dos) sequence in emission order *)
-let seq_stream factory =
-  let out = ref [] in
-  ignore
-    (E.explore ~strategy:E.Por ~factory ~branch_depth:deep ~max_steps
-       ~on_execution:(fun e -> out := (e.E.schedule, e.E.dos) :: !out)
-       ());
-  List.rev !out
-
-let par_stream ?fingerprint ~domains factory =
+let explore_stream ?fingerprint ~domains factory =
   let out = ref [] in
   let stats =
-    P.explore ~strategy:E.Por ?fingerprint ~domains ~factory
+    E.explore ~strategy:E.Por ?fingerprint ~domains ~factory
       ~branch_depth:deep ~max_steps
       ~on_execution:(fun e -> out := (e.E.schedule, e.E.dos) :: !out)
       ()
@@ -62,8 +52,8 @@ let time_best f =
 let run () =
   section ~id:"E15" ~title:"domain-parallel exploration"
     ~claim:
-      "the work-stealing parallel explorer enumerates the identical \
-       execution stream as the sequential engine (byte-identical with the \
+      "the work-stealing explorer enumerates the identical execution \
+       stream on every domain count as on one (byte-identical with the \
        fingerprint cache off, identical canonical do-log sets with it on), \
        so the POR safety results transfer unchanged to multi-domain runs";
   let stream_mismatches = ref 0 in
@@ -74,20 +64,24 @@ let run () =
   let lookups_d1 = ref 0 in
   let speedups = Hashtbl.create 4 in
   let case ~name ~timing ~factory =
-    let stream0, seq_t = time_best (fun () -> seq_stream factory) in
-    let nseq = List.length stream0 in
-    seq_execs := !seq_execs + nseq;
+    let (stream0, stats0), seq_t =
+      time_best (fun () -> explore_stream ~domains:1 factory)
+    in
+    seq_execs := !seq_execs + List.length stream0;
     let row_of ~domains =
-      let (stream, stats), par_t =
-        time_best (fun () -> par_stream ~domains factory)
-      in
-      let identical = stream = stream0 in
-      if not identical then incr stream_mismatches;
-      let speedup = seq_t /. par_t in
-      if timing then
-        Hashtbl.replace speedups domains
-          (speedup :: Option.value ~default:[] (Hashtbl.find_opt speedups domains));
-      (stats, identical, speedup)
+      if domains = 1 then (stats0, true, 1.)
+      else
+        let (stream, stats), par_t =
+          time_best (fun () -> explore_stream ~domains factory)
+        in
+        let identical = stream = stream0 in
+        if not identical then incr stream_mismatches;
+        let speedup = seq_t /. par_t in
+        if timing then
+          Hashtbl.replace speedups domains
+            (speedup
+            :: Option.value ~default:[] (Hashtbl.find_opt speedups domains));
+        (stats, identical, speedup)
     in
     let rows =
       List.map
@@ -97,10 +91,10 @@ let run () =
             S name;
             I domains;
             S "off";
-            I stats.P.executions;
+            I stats.E.executions;
             S (if identical then "identical" else "MISMATCH");
-            I stats.P.work_items;
-            I stats.P.steals;
+            I stats.E.work_items;
+            I stats.E.steals;
             F speedup;
           ])
         [ 1; 2; 4 ]
@@ -110,13 +104,15 @@ let run () =
     let cache_rows =
       List.map
         (fun domains ->
-          let stream, stats = par_stream ~fingerprint:true ~domains factory in
+          let stream, stats =
+            explore_stream ~fingerprint:true ~domains factory
+          in
           let same_set = canon stream = canon stream0 in
           if not same_set then incr set_mismatches;
-          if stats.P.executions > List.length stream0 then incr set_mismatches;
+          if stats.E.executions > List.length stream0 then incr set_mismatches;
           if domains = 1 then begin
-            cache_execs := !cache_execs + stats.P.executions;
-            match stats.P.cache with
+            cache_execs := !cache_execs + stats.E.executions;
+            match stats.E.cache with
             | Some c ->
                 hits_d1 := !hits_d1 + c.Analysis.Fingerprint.hits;
                 lookups_d1 :=
@@ -128,10 +124,10 @@ let run () =
             S name;
             I domains;
             S "on";
-            I stats.P.executions;
+            I stats.E.executions;
             S (if same_set then "same set" else "SET MISMATCH");
-            I stats.P.work_items;
-            I stats.P.steals;
+            I stats.E.work_items;
+            I stats.E.steals;
             F 0.;
           ])
         [ 1; 4 ]
@@ -158,7 +154,7 @@ let run () =
   in
   table
     ~header:
-      [ "instance"; "domains"; "cache"; "execs"; "vs sequential"; "items";
+      [ "instance"; "domains"; "cache"; "execs"; "vs d=1"; "items";
         "steals"; "speedup" ]
     (List.concat cases);
   let mean l =
@@ -184,6 +180,6 @@ let run () =
   record_metric ~direction:Obs.Snapshot.Higher_is_better "cache_hit_rate_d1"
     hit_rate;
   verdict (!stream_mismatches = 0 && !set_mismatches = 0 && !seq_execs > 0)
-    "parallel streams byte-identical to sequential (cache off) and canonical \
+    "parallel streams byte-identical to one domain (cache off) and canonical \
      do-log sets preserved (cache on) on every instance and domain count; \
      speedup is informational (single-core runners score ~1.0)"

@@ -640,8 +640,8 @@ let explore_cmd =
       ]
     in
     let t0 = Unix.gettimeofday () in
-    let report, pstats =
-      Analysis.Pexplore.check ~domains ~fingerprint ~factory ~branch_depth
+    let report =
+      Analysis.Explore.check ~domains ~fingerprint ~factory ~branch_depth
         ~max_steps ~oracles ()
     in
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -657,24 +657,20 @@ let explore_cmd =
     let diff_ok =
       if not differential then None
       else
-        (* cross-validate against the sequential oracle: the canonical
-           do-log sets must coincide exactly *)
-        let seq =
+        (* cross-validate against one domain with the cache off: the
+           canonical do-log sets must coincide exactly *)
+        let set_of ~domains ~fingerprint =
           canonical_set (fun f ->
-              Analysis.Explore.explore ~factory ~branch_depth ~max_steps
-                ~on_execution:f ())
-        in
-        let par =
-          canonical_set (fun f ->
-              Analysis.Pexplore.explore ~domains ~fingerprint ~factory
+              Analysis.Explore.explore ~domains ~fingerprint ~factory
                 ~branch_depth ~max_steps ~on_execution:f ())
         in
-        Some (seq = par)
+        Some
+          (set_of ~domains:1 ~fingerprint:false = set_of ~domains ~fingerprint)
     in
     let stats = report.Analysis.Explore.stats in
     if json then
       let cache_json =
-        match pstats.Analysis.Pexplore.cache with
+        match stats.Analysis.Explore.cache with
         | None -> J.Null
         | Some c ->
             J.Obj
@@ -697,8 +693,8 @@ let explore_cmd =
                 ("executions", J.Int stats.Analysis.Explore.executions);
                 ( "fully_exhaustive",
                   J.Bool stats.Analysis.Explore.fully_exhaustive );
-                ("work_items", J.Int pstats.Analysis.Pexplore.work_items);
-                ("steals", J.Int pstats.Analysis.Pexplore.steals);
+                ("work_items", J.Int stats.Analysis.Explore.work_items);
+                ("steals", J.Int stats.Analysis.Explore.steals);
                 ("cache", cache_json);
                 ("violations", J.Int report.Analysis.Explore.violating);
                 ( "differential_ok",
@@ -708,11 +704,11 @@ let explore_cmd =
     else begin
       Fmt.pr "instance        : KK n=%d m=%d beta=%d@." n m beta;
       Fmt.pr "domains         : %d (%d work items, %d steals)@." domains
-        pstats.Analysis.Pexplore.work_items pstats.Analysis.Pexplore.steals;
+        stats.Analysis.Explore.work_items stats.Analysis.Explore.steals;
       Fmt.pr "executions      : %d%s@." stats.Analysis.Explore.executions
         (if stats.Analysis.Explore.fully_exhaustive then " (complete)"
          else " (budget-truncated)");
-      (match pstats.Analysis.Pexplore.cache with
+      (match stats.Analysis.Explore.cache with
       | None -> Fmt.pr "fingerprints    : off@."
       | Some c ->
           let total = c.Analysis.Fingerprint.hits + c.Analysis.Fingerprint.misses in
@@ -766,8 +762,23 @@ let explore_cmd =
     Arg.(value & opt int 50_000 & info [ "max-steps" ] ~docv:"STEPS" ~doc)
   in
   let domains_arg =
-    let doc = "Explorer domains (OCaml 5 parallelism); 1 = sequential." in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D" ~doc)
+    let doc =
+      "Explorer domains (OCaml 5 parallelism), an integer >= 1; 1 = \
+       sequential."
+    in
+    let at_least_one =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some d when d >= 1 -> Ok d
+            | _ ->
+                Error
+                  (`Msg
+                     (Printf.sprintf "invalid value '%s', expected an integer >= 1"
+                        s))),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt at_least_one 1 & info [ "domains" ] ~docv:"D" ~doc)
   in
   let fingerprint_flag =
     let doc =
@@ -779,8 +790,9 @@ let explore_cmd =
   in
   let differential_flag =
     let doc =
-      "Also run the sequential explorer and verify both engines produce \
-       identical canonical do-log sets (exit 4 on mismatch)."
+      "Also explore on one domain with the cache off and verify that run \
+       and the requested configuration produce identical canonical do-log \
+       sets (exit 4 on mismatch)."
     in
     Arg.(value & flag & info [ "differential" ] ~doc)
   in

@@ -1,6 +1,13 @@
 exception Max_steps_exceeded of { schedule : int list; steps : int }
 
-type stats = { executions : int; fully_exhaustive : bool }
+type stats = {
+  executions : int;
+  fully_exhaustive : bool;
+  domains : int;
+  work_items : int;
+  steals : int;
+  cache : Fingerprint.stats option;
+}
 
 type execution = {
   schedule : int list;
@@ -15,14 +22,20 @@ type strategy = Brute_force | Por
 type inst = {
   handles : Shm.Automaton.handle array;
   trace : Shm.Trace.t;
+  acc : Fingerprint.acc option; (* canonical do-prefix hash, when caching *)
   mutable stepno : int;
   mutable rev_sched : int list; (* pids stepped so far, reversed *)
 }
 
-let make_inst factory =
+let make_inst ?(fingerprint = false) factory =
+  let handles = factory () in
   {
-    handles = factory ();
+    handles;
     trace = Shm.Trace.create `Outcomes;
+    acc =
+      (if fingerprint then
+         Some (Fingerprint.acc_create ~m:(Array.length handles))
+       else None);
     stepno = 0;
     rev_sched = [];
   }
@@ -34,13 +47,9 @@ let step_inst ~max_steps inst p =
          { schedule = List.rev inst.rev_sched; steps = inst.stepno });
   let events = inst.handles.(p - 1).Shm.Automaton.step () in
   List.iter (Shm.Trace.record inst.trace ~step:inst.stepno) events;
+  Option.iter (fun acc -> Fingerprint.acc_feed acc events) inst.acc;
   inst.stepno <- inst.stepno + 1;
-  inst.rev_sched <- p :: inst.rev_sched;
-  events
-
-let inst_handles inst = inst.handles
-let inst_stepno inst = inst.stepno
-let inst_rev_sched inst = inst.rev_sched
+  inst.rev_sched <- p :: inst.rev_sched
 
 let execution_of inst =
   {
@@ -56,13 +65,13 @@ let complete_round_robin ~max_steps inst =
   let rec go () =
     let live = Shm.Executor.live_pids inst.handles in
     if Array.length live > 0 then begin
-      ignore (step_inst ~max_steps inst (Shm.Schedule.choose sched ~alive:live));
+      step_inst ~max_steps inst (Shm.Schedule.choose sched ~alive:live);
       go ()
     end
   in
   go ()
 
-(* ---- child planning, shared with the parallel engine ---- *)
+(* ---- child planning ---- *)
 
 type children =
   | Terminal
@@ -73,10 +82,8 @@ type children =
    already explored from an equivalent state in an earlier sibling
    branch, each with the footprint that action had when it went to
    sleep (the process has not moved since, so the action — and its
-   footprint — are unchanged).  This is the single source of truth for
-   which children a state has: {!Pexplore} must expand exactly the
-   same tree as the recursion below or its differential guarantee is
-   void. *)
+   footprint — are unchanged).  Returns the children of the state in
+   exploration order, each with its own sleep set. *)
 let plan_children strategy ~sleep fps =
   if Array.length fps = 0 then Terminal
   else begin
@@ -133,16 +140,101 @@ let plan_children strategy ~sleep fps =
 
 (* ---- the explorer ---- *)
 
+(* A subtree not yet entered: the schedule prefix reaching it, plus
+   the sleep set and branch count the recursion carries there.  A
+   prefix replayed on a fresh instance re-materializes the subtree
+   anywhere, so subtrees are self-contained work items. *)
+type subtree = {
+  rev_prefix : int list;
+  sleep : (int * Shm.Footprint.t) list;
+  branches : int;
+  depth : int; (* List.length rev_prefix, cached *)
+}
+
+(* The frontier of a multi-domain run, in DFS preorder: expansion
+   byproducts stay in place so the merge walks one array. *)
+type item =
+  | Done of execution (* completed during expansion *)
+  | Sub of subtree (* a subtree for the workers *)
+  | Poison of exn (* Max_steps_exceeded hit during expansion *)
+
 (* Progress cadence for the sink / debug log: power of two so the
    modulo is a mask, rare enough not to perturb timing. *)
 let progress_every = 4096
 
-let explore ?(strategy = Por) ?(sink = Obs.Sink.null) ~factory ~branch_depth
-    ~max_steps ~on_execution () =
+(* frontier size per domain: enough subtrees for stealing to balance *)
+let items_per_domain = 32
+
+let explore ?(strategy = Por) ?(sink = Obs.Sink.null) ?(domains = 1)
+    ?(fingerprint = false) ~factory ~branch_depth ~max_steps ~on_execution ()
+    =
+  if domains < 1 then invalid_arg "Explore.explore: domains must be >= 1";
+  let table = if fingerprint then Some (Fingerprint.create ()) else None in
+  let truncated = Atomic.make false in
+  let replay_subtree o =
+    let inst = make_inst ~fingerprint factory in
+    List.iter (step_inst ~max_steps inst) (List.rev o.rev_prefix);
+    inst
+  in
+  (* A hit means an equal-fingerprint node was already entered, and
+     this subtree's canonical do-logs are (up to hash collision) a
+     subset of that one's. *)
+  let pruned inst sleep =
+    match (table, inst.acc) with
+    | Some tbl, Some acc -> (
+        match
+          Fingerprint.state ~handles:inst.handles ~stepno:inst.stepno
+            ~do_hash:(Fingerprint.acc_hash acc) ~sleep
+        with
+        | Some fp -> Fingerprint.seen tbl fp
+        | None -> false)
+    | _ -> false
+  in
+  (* The one exploration recursion; completed executions go to [emit].
+     At a branching state it either explores the children itself — the
+     first in place, no replay; siblings on replayed instances — or,
+     with [split], hands them over as unentered subtrees in child
+     order.  The cache is consulted at node entry, so every node is
+     consulted exactly once whichever side enters it. *)
+  let rec node ~emit ~split inst sleep branches =
+    if not (pruned inst sleep) then
+      match
+        plan_children strategy ~sleep
+          (Shm.Executor.live_footprints inst.handles)
+      with
+      | Terminal -> emit (execution_of inst)
+      | Covered | Children [] -> ()
+      | Children (_ :: _ :: _) when branches >= branch_depth ->
+          Atomic.set truncated true;
+          complete_round_robin ~max_steps inst;
+          emit (execution_of inst)
+      | Children [ (p, sl) ] ->
+          step_inst ~max_steps inst p;
+          node ~emit ~split inst sl branches
+      | Children ((p0, sl0) :: deferred as plans) -> (
+          let branches = branches + 1 in
+          let base_rev = inst.rev_sched and depth = inst.stepno + 1 in
+          let child (p, sl) =
+            { rev_prefix = p :: base_rev; sleep = sl; branches; depth }
+          in
+          match split with
+          | Some hand_over -> hand_over (List.map child plans)
+          | None ->
+              step_inst ~max_steps inst p0;
+              node ~emit ~split inst sl0 branches;
+              List.iter
+                (fun c ->
+                  let o = child c in
+                  node ~emit ~split (replay_subtree o) o.sleep branches)
+                deferred)
+  in
+  let enter ~emit ?split o =
+    node ~emit ~split (replay_subtree o) o.sleep o.branches
+  in
+  let root = { rev_prefix = []; sleep = []; branches = 0; depth = 0 } in
   let observing = not (Obs.Sink.is_null sink) in
   let executions = ref 0 in
-  let truncated = ref false in
-  let emit inst =
+  let deliver e =
     incr executions;
     if !executions mod progress_every = 0 then begin
       if observing then
@@ -152,63 +244,182 @@ let explore ?(strategy = Por) ?(sink = Obs.Sink.null) ~factory ~branch_depth
              "explore.progress");
       Util.Logging.debug "explore: %d executions visited" !executions
     end;
-    on_execution (execution_of inst)
+    on_execution e
   in
-  let replay_rev rev_prefix =
-    let inst = make_inst factory in
-    List.iter
-      (fun p -> ignore (step_inst ~max_steps inst p))
-      (List.rev rev_prefix);
-    inst
-  in
-  (* [branches] counts branching decisions on the path so far. *)
-  let rec node inst sleep branches =
-    let fps = Shm.Executor.live_footprints inst.handles in
-    match plan_children strategy ~sleep fps with
-    | Terminal -> emit inst
-    | Covered -> ()
-    | Children plans -> (
-        match plans with
-        | _ :: _ :: _ when branches >= branch_depth ->
-            truncated := true;
-            complete_round_robin ~max_steps inst;
-            emit inst
-        | plans -> (
-            let branches =
-              match plans with _ :: _ :: _ -> branches + 1 | _ -> branches
+  let work_items, steals =
+    if domains = 1 then begin
+      (* the whole tree on the caller's domain, streaming *)
+      enter ~emit:deliver root;
+      (1, 0)
+    end
+    else begin
+      (* ---- phase 1: grow a frontier of independent subtrees ----
+
+         Repeatedly expand the shallowest open subtree: walk forward
+         through single-child states in place and split at the first
+         branching state into one subtree per child.  Expanding
+         shallowest-first and replacing items in place keeps the
+         frontier in DFS preorder, which is what makes the merge
+         deterministic. *)
+      let target = items_per_domain * domains in
+      let expand o =
+        let out = ref [] in
+        match
+          enter o
+            ~emit:(fun e -> out := [ Done e ])
+            ~split:(fun subs -> out := List.map (fun s -> Sub s) subs)
+        with
+        | () -> !out
+        | exception (Max_steps_exceeded _ as e) -> [ Poison e ]
+      in
+      let count_subs its =
+        List.length (List.filter (function Sub _ -> true | _ -> false) its)
+      in
+      let shallowest its =
+        List.fold_left
+          (fun b it ->
+            match (it, b) with
+            | Sub o, None -> Some o.depth
+            | Sub o, Some d -> Some (min d o.depth)
+            | _, b -> b)
+          None its
+      in
+      let rec grow n its =
+        match shallowest its with
+        | None -> its
+        | Some _ when n >= 64 * target || count_subs its >= target -> its
+        | Some d ->
+            let replaced = ref false in
+            let its =
+              List.concat_map
+                (fun it ->
+                  match it with
+                  | Sub o when (not !replaced) && o.depth = d ->
+                      replaced := true;
+                      expand o
+                  | it -> [ it ])
+                its
             in
-            match plans with
-            | [] -> assert false
-            | (p0, sl0) :: deferred ->
-                let base_rev = inst.rev_sched in
-                (* first child: step in place, no replay *)
-                ignore (step_inst ~max_steps inst p0);
-                node inst sl0 branches;
-                (* siblings: re-execute the prefix on fresh instances *)
-                List.iter
-                  (fun (p, sl) ->
-                    node (replay_rev (p :: base_rev)) sl branches)
-                  deferred))
+            grow (n + 1) its
+      in
+      let items = Array.of_list (grow 0 [ Sub root ]) in
+
+      (* ---- phase 2: workers drain the frontier ----
+
+         Subtrees are dealt round-robin onto per-domain deques; a
+         worker pops its own and, when it runs dry, steals from the
+         back of domain (wid + k) mod domains for k = 1, 2, ...  Each
+         result slot is written by exactly one worker, and Domain.join
+         orders those writes before the merge reads them. *)
+      let n_items = Array.length items in
+      let results = Array.make n_items ([] : execution list) in
+      let exns = Array.make n_items (None : exn option) in
+      let steals = Atomic.make 0 in
+      let assign = Array.make domains [] in
+      let n_subs = ref 0 in
+      Array.iteri
+        (fun i it ->
+          match it with
+          | Sub o ->
+              let d = !n_subs mod domains in
+              assign.(d) <- (i, o) :: assign.(d);
+              incr n_subs
+          | Done _ | Poison _ -> ())
+        items;
+      let deques =
+        Array.map (fun l -> Multicore.Wsdeque.of_list (List.rev l)) assign
+      in
+      let run_sub (idx, o) =
+        let buf = ref [] in
+        (try enter o ~emit:(fun e -> buf := e :: !buf)
+         with Max_steps_exceeded _ as e -> exns.(idx) <- Some e);
+        results.(idx) <- List.rev !buf
+      in
+      let worker wid () =
+        let rec next k =
+          if k = 0 then
+            match Multicore.Wsdeque.pop deques.(wid) with
+            | Some s -> Some s
+            | None -> next 1
+          else if k >= domains then None
+          else
+            match Multicore.Wsdeque.steal deques.((wid + k) mod domains) with
+            | Some s ->
+                Atomic.incr steals;
+                Some s
+            | None -> next (k + 1)
+        in
+        let rec loop () =
+          match next 0 with
+          | None -> ()
+          | Some s ->
+              run_sub s;
+              loop ()
+        in
+        loop ()
+      in
+      let doms = Array.init domains (fun wid -> Domain.spawn (worker wid)) in
+      Array.iter Domain.join doms;
+
+      (* ---- phase 3: deterministic merge, on the caller's domain ----
+
+         Items are in DFS preorder and each buffer is in DFS order, so
+         emitting them in sequence reproduces the one-domain stream
+         exactly; which domain explored which subtree is invisible.  A
+         recorded Max_steps_exceeded is re-raised at the position the
+         one-domain walk would have raised it. *)
+      Array.iteri
+        (fun i it ->
+          match it with
+          | Done e -> deliver e
+          | Poison e -> raise e
+          | Sub _ ->
+              List.iter deliver results.(i);
+              Option.iter raise exns.(i))
+        items;
+      (!n_subs, Atomic.get steals)
+    end
   in
-  node (make_inst factory) [] 0;
-  let stats = { executions = !executions; fully_exhaustive = not !truncated } in
-  if observing then
+  let stats =
+    {
+      executions = !executions;
+      fully_exhaustive = not (Atomic.get truncated);
+      domains;
+      work_items;
+      steals;
+      cache = Option.map Fingerprint.stats table;
+    }
+  in
+  if observing then begin
+    let cache_args =
+      match stats.cache with
+      | None -> []
+      | Some c ->
+          [
+            ("cache_hits", Obs.Json.Int c.Fingerprint.hits);
+            ("cache_misses", Obs.Json.Int c.Fingerprint.misses);
+            ("cache_evictions", Obs.Json.Int c.Fingerprint.evictions);
+          ]
+    in
     Obs.Sink.emit sink
       (Obs.Sink.record ~ts:!executions ~kind:Obs.Sink.Counter
          ~args:
-           [
-             ("executions", Obs.Json.Int stats.executions);
-             ("fully_exhaustive", Obs.Json.Bool stats.fully_exhaustive);
-           ]
-         "explore.done");
-  Util.Logging.debug "explore: done, %d executions (exhaustive=%b)"
-    stats.executions stats.fully_exhaustive;
+           ([
+              ("executions", Obs.Json.Int stats.executions);
+              ("fully_exhaustive", Obs.Json.Bool stats.fully_exhaustive);
+              ("domains", Obs.Json.Int stats.domains);
+              ("work_items", Obs.Json.Int stats.work_items);
+              ("steals", Obs.Json.Int stats.steals);
+            ]
+           @ cache_args)
+         "explore.done")
+  end;
+  Util.Logging.debug
+    "explore: done, %d executions (exhaustive=%b) over %d items on %d \
+     domains (%d steals)"
+    stats.executions stats.fully_exhaustive stats.work_items stats.domains
+    stats.steals;
   stats
-
-let run ~factory ~branch_depth ~max_steps ~on_execution () =
-  explore ~strategy:Brute_force ~factory ~branch_depth ~max_steps
-    ~on_execution:(fun e -> on_execution e.dos)
-    ()
 
 (* ---- deterministic replay ---- *)
 
@@ -220,7 +431,7 @@ let replay ~factory ?(max_steps = 100_000) ?(complete = true) schedule =
         p >= 1
         && p <= Array.length inst.handles
         && inst.handles.(p - 1).Shm.Automaton.alive ()
-      then ignore (step_inst ~max_steps inst p))
+      then step_inst ~max_steps inst p)
     schedule;
   if complete then complete_round_robin ~max_steps inst;
   execution_of inst
@@ -306,19 +517,15 @@ type report = {
 
 let max_findings = 64
 
-(* The oracle-judging half of [check], parameterized over the actual
-   enumeration so the parallel engine ({!Pexplore.check}) reuses the
-   exact same finding/dedup/shrink logic instead of drifting its own
-   copy.  [run] must call [on_execution] once per complete
-   execution. *)
-let check_executions ?(minimize = true) ?(sink = Obs.Sink.null) ~factory
-    ~max_steps ~oracles ~run () =
+let check ?(strategy = Por) ?(minimize = true) ?(sink = Obs.Sink.null)
+    ?domains ?fingerprint ~factory ~branch_depth ~max_steps ~oracles () =
   let findings = ref [] in
   let n_findings = ref 0 in
   let violating = ref 0 in
   let seen = Hashtbl.create 64 in
   let stats =
-    run
+    explore ~strategy ~sink ?domains ?fingerprint ~factory ~branch_depth
+      ~max_steps
       ~on_execution:(fun (e : execution) ->
         match Oracle.check_all oracles e.trace with
         | [] -> ()
@@ -348,6 +555,7 @@ let check_executions ?(minimize = true) ?(sink = Obs.Sink.null) ~factory
                 findings := { execution = e; violations } :: !findings
               end
             end)
+      ()
   in
   let findings = List.rev !findings in
   let shrunk =
@@ -369,11 +577,3 @@ let check_executions ?(minimize = true) ?(sink = Obs.Sink.null) ~factory
     | _ -> None
   in
   { stats; findings; violating = !violating; shrunk }
-
-let check ?(strategy = Por) ?minimize ?(sink = Obs.Sink.null) ~factory
-    ~branch_depth ~max_steps ~oracles () =
-  check_executions ?minimize ~sink ~factory ~max_steps ~oracles
-    ~run:(fun ~on_execution ->
-      explore ~strategy ~sink ~factory ~branch_depth ~max_steps ~on_execution
-        ())
-    ()

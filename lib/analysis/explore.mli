@@ -32,7 +32,26 @@
     deterministically (round-robin) and [fully_exhaustive] is
     reported [false].  Straight-line suffixes are free, so a fully
     covered space means every branching point was expanded.
-    [max_steps] turns non-termination into {!Max_steps_exceeded}. *)
+    [max_steps] turns non-termination into {!Max_steps_exceeded}.
+
+    {b Domains.}  With [domains = 1] (the default) the whole tree is
+    walked on the caller's domain and every execution reaches
+    [on_execution] as soon as it is found.  With [domains > 1] the
+    tree is first split into a frontier of 32 × [domains] subtrees in
+    DFS preorder; worker domains drain it from per-domain
+    {!Multicore.Wsdeque}s, stealing when their own runs dry, buffer
+    each subtree's executions, and the caller's domain merges the
+    buffers in frontier order.  The [on_execution] stream — and a
+    {!Max_steps_exceeded}, re-raised at its one-domain position — is
+    therefore byte-identical for every domain count.
+
+    {b State cache.}  With [fingerprint] set, every node entry consults
+    a shared {!Fingerprint.table} and prunes states already entered.
+    Pruning preserves the {e set} of canonical do-logs and every oracle
+    verdict (oracles are functions of canonical do-logs), but not
+    execution {e counts}.  The cache silently disables itself on
+    instances containing opaque automata
+    ({!Shm.Automaton.handle}[.fingerprint] = [None]). *)
 
 exception
   Max_steps_exceeded of {
@@ -49,6 +68,11 @@ type stats = {
       (** true iff no path hit the branching budget — the enumeration
           covered the whole execution space (up to commutation under
           {!Por}). *)
+  domains : int;
+  work_items : int;
+      (** subtrees explored as separate work items; 1 on one domain *)
+  steals : int;  (** items taken from another domain's deque *)
+  cache : Fingerprint.stats option;  (** [Some] iff [fingerprint] was set *)
 }
 
 type execution = {
@@ -61,79 +85,25 @@ type strategy =
   | Brute_force  (** enumerate every interleaving *)
   | Por  (** sleep-set + persistent-set partial-order reduction *)
 
-(** {2 Engine internals}
-
-    The pieces the exploration recursion is built from, exposed so the
-    domain-parallel engine ({!Pexplore}) drives {e exactly} the same
-    state machine — same child order, same sleep sets, same traces —
-    instead of reimplementing it.  Regular callers want {!explore} /
-    {!check}. *)
-
-type inst
-(** One live instance being driven forward: the handle array, the
-    accumulating [`Outcomes] trace, and the schedule so far. *)
-
-val make_inst : (unit -> Shm.Automaton.handle array) -> inst
-
-val step_inst : max_steps:int -> inst -> int -> Shm.Event.t list
-(** Step pid [p] once, recording its events in the instance trace;
-    returns the events the action emitted.  @raise Max_steps_exceeded
-    when the instance has already performed [max_steps] steps. *)
-
-val complete_round_robin : max_steps:int -> inst -> unit
-(** Finish the instance deterministically (round-robin to
-    quiescence).  @raise Max_steps_exceeded. *)
-
-val execution_of : inst -> execution
-
-val inst_handles : inst -> Shm.Automaton.handle array
-val inst_stepno : inst -> int
-
-val inst_rev_sched : inst -> int list
-(** The pids stepped so far, most recent first. *)
-
-type children =
-  | Terminal  (** no live process: a complete execution *)
-  | Covered  (** all candidates asleep: subtree explored elsewhere *)
-  | Children of (int * (int * Shm.Footprint.t) list) list
-      (** children in exploration order, each with its sleep set *)
-
-val plan_children :
-  strategy ->
-  sleep:(int * Shm.Footprint.t) list ->
-  (int * Shm.Footprint.t) array ->
-  children
-(** [plan_children strategy ~sleep fps] decides, from the live
-    footprints [fps] (as returned by {!Shm.Executor.live_footprints})
-    and the current sleep set, which children the state has: the
-    persistent-set restriction, sleep-set filtering, and the per-child
-    sleep sets.  Single source of truth for both engines. *)
-
 val explore :
   ?strategy:strategy ->
   ?sink:Obs.Sink.t ->
+  ?domains:int ->
+  ?fingerprint:bool ->
   factory:(unit -> Shm.Automaton.handle array) ->
   branch_depth:int ->
   max_steps:int ->
   on_execution:(execution -> unit) ->
   unit ->
   stats
-(** Enumerate executions (default strategy {!Por}), calling
-    [on_execution] on each.  A non-null [sink] (default
-    {!Obs.Sink.null}) receives periodic [explore.progress] counters
-    and a final [explore.done] record; progress is also reported at
-    debug log level.  @raise Max_steps_exceeded. *)
-
-val run :
-  factory:(unit -> Shm.Automaton.handle array) ->
-  branch_depth:int ->
-  max_steps:int ->
-  on_execution:((int * int) list -> unit) ->
-  unit ->
-  stats
-(** Legacy brute-force entry point: [explore ~strategy:Brute_force]
-    passing only the do-event log.  Kept as the cross-validation
-    oracle for {!Por}.  @raise Max_steps_exceeded. *)
+(** Enumerate executions (default strategy {!Por}) on [domains]
+    (default 1) domains, calling [on_execution] on each, always on the
+    caller's domain.  [fingerprint] (default [false]) enables the state
+    cache.  A non-null [sink] (default {!Obs.Sink.null}) receives
+    periodic [explore.progress] counters and a final [explore.done]
+    record carrying the {!stats}; progress is also reported at debug
+    log level.  @raise Invalid_argument if [domains < 1].
+    @raise Max_steps_exceeded. *)
 
 val replay :
   factory:(unit -> Shm.Automaton.handle array) ->
@@ -208,6 +178,8 @@ val check :
   ?strategy:strategy ->
   ?minimize:bool ->
   ?sink:Obs.Sink.t ->
+  ?domains:int ->
+  ?fingerprint:bool ->
   factory:(unit -> Shm.Automaton.handle array) ->
   branch_depth:int ->
   max_steps:int ->
@@ -217,21 +189,6 @@ val check :
 (** Explore (default {!Por}) and judge every execution against the
     [oracles]; when a violation is found and [minimize] (default
     [true]), the first counterexample is shrunk before reporting.
-    [sink] is threaded to {!explore}; each violating execution
-    additionally emits an [explore.violation] instant naming the
-    fired oracles.  @raise Max_steps_exceeded. *)
-
-val check_executions :
-  ?minimize:bool ->
-  ?sink:Obs.Sink.t ->
-  factory:(unit -> Shm.Automaton.handle array) ->
-  max_steps:int ->
-  oracles:Oracle.t list ->
-  run:(on_execution:(execution -> unit) -> stats) ->
-  unit ->
-  report
-(** The oracle-judging half of {!check}, parameterized over the
-    enumeration: [run ~on_execution] must invoke [on_execution] once
-    per complete execution and return the exploration stats.  This is
-    how {!Pexplore.check} shares the finding-dedup/shrink logic with
-    the sequential engine. *)
+    [sink], [domains] and [fingerprint] are threaded to {!explore};
+    each violating execution additionally emits an [explore.violation]
+    instant naming the fired oracles.  @raise Max_steps_exceeded. *)

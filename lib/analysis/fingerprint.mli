@@ -8,7 +8,7 @@
     so the second can be pruned without changing the {e set} of
     canonical do-logs or the violation verdicts the explorer reports
     (DESIGN.md §9 gives the full argument).  Per-execution counts may
-    shrink under pruning, which is why {!Pexplore} only enables the
+    shrink under pruning, which is why {!Explore} only enables the
     cache when asked.
 
     Fingerprinting is only available when every live automaton

@@ -1,7 +1,7 @@
 (** Coverage-guided fuzzing engine.
 
-    The middle tier between the exhaustive explorers ({!Explore},
-    {!Pexplore} — sound, but confined to tiny instances) and blind
+    The middle tier between the exhaustive explorer ({!Explore} —
+    sound, but confined to tiny instances) and blind
     Monte-Carlo sampling ({!Montecarlo}, [Fault.Chaos.soak] — scales,
     but wastes budget re-exercising equivalent interleavings): a
     feedback loop that keeps an input only when executing it reached a

@@ -7,13 +7,18 @@ let check_amo dos =
       Alcotest.failf "at-most-once violated: %s"
         (Format.asprintf "%a" Core.Spec.pp_violation v)
 
-(* Bounded-exhaustive interleaving exploration; the engine lives in
-   Analysis.Explore, this wrapper just returns the execution count. *)
+(* Brute-force enumeration of every interleaving, passing only the
+   do-event log of each execution. *)
+let explore_dos ~factory ~branch_depth ~max_steps ~on_execution () =
+  Analysis.Explore.explore ~strategy:Analysis.Explore.Brute_force ~factory
+    ~branch_depth ~max_steps
+    ~on_execution:(fun e -> on_execution e.Analysis.Explore.dos)
+    ()
+
+(* The same, returning just the execution count. *)
 let explore ~factory ~branch_depth ~max_steps ~on_execution =
-  let stats =
-    Analysis.Explore.run ~factory ~branch_depth ~max_steps ~on_execution ()
-  in
-  stats.Analysis.Explore.executions
+  (explore_dos ~factory ~branch_depth ~max_steps ~on_execution ())
+    .Analysis.Explore.executions
 
 (* A scheduler battery for "holds under any schedule" tests. *)
 let schedulers_for seed =
@@ -27,3 +32,25 @@ let schedulers_for seed =
   ]
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(* Driving the amo_run binary: its path from the test's working
+   directory, its stdout and its exit status. *)
+let amo_exe () =
+  List.find Sys.file_exists
+    [ "../bin/amo_run.exe"; "bin/amo_run.exe"; "_build/default/bin/amo_run.exe" ]
+
+let run_capture cmd =
+  let ic = Unix.open_process_in cmd in
+  let buf = Buffer.create 1024 in
+  (try
+     while true do
+       Buffer.add_channel buf ic 1
+     done
+   with End_of_file -> ());
+  let status = Unix.close_process_in ic in
+  (Buffer.contents buf, status)
+
+let exit_code = function
+  | Unix.WEXITED c -> c
+  | Unix.WSIGNALED s -> Alcotest.failf "killed by signal %d" s
+  | Unix.WSTOPPED s -> Alcotest.failf "stopped by signal %d" s

@@ -230,7 +230,7 @@ let test_explore_fully_exhaustive () =
   (* two tiny trivial processes: the schedule space is small enough to
      cover completely, and the do-multiset is schedule-independent *)
   let stats =
-    Analysis.Explore.run
+    Helpers.explore_dos
       ~factory:(fun () -> Core.Trivial.processes ~n:4 ~m:2)
       ~branch_depth:10 ~max_steps:100
       ~on_execution:(fun dos ->
@@ -244,7 +244,7 @@ let test_explore_fully_exhaustive () =
 
 let test_explore_truncation_flag () =
   let stats =
-    Analysis.Explore.run
+    Helpers.explore_dos
       ~factory:(fun () -> Core.Trivial.processes ~n:40 ~m:2)
       ~branch_depth:3 ~max_steps:1000
       ~on_execution:(fun _ -> ())
@@ -269,7 +269,7 @@ let test_explore_detects_nontermination () =
     }
   in
   match
-    Analysis.Explore.run
+    Helpers.explore_dos
       ~factory:(fun () -> [| forever 1 |])
       ~branch_depth:2 ~max_steps:50
       ~on_execution:(fun _ -> ())

@@ -244,25 +244,9 @@ let test_skip_check_found_and_shrunk () =
 
 (* ---- amo_run fuzz CLI: help golden and exit codes ---- *)
 
-let amo_exe () =
-  List.find Sys.file_exists
-    [ "../bin/amo_run.exe"; "bin/amo_run.exe"; "_build/default/bin/amo_run.exe" ]
-
-let run_capture cmd =
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let status = Unix.close_process_in ic in
-  (Buffer.contents buf, status)
-
-let exit_code = function
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED s -> Alcotest.failf "killed by signal %d" s
-  | Unix.WSTOPPED s -> Alcotest.failf "stopped by signal %d" s
+let amo_exe = Helpers.amo_exe
+let run_capture = Helpers.run_capture
+let exit_code = Helpers.exit_code
 
 let temp_dir prefix =
   let path = Filename.temp_file prefix "" in

@@ -1,13 +1,12 @@
-(* Differential conformance tests for the domain-parallel explorer:
-   with the fingerprint cache off, Pexplore's execution stream must be
-   byte-identical to the sequential engine's on 1..4 domains; with the
-   cache on it must preserve canonical do-log sets and violation
-   verdicts.  Plus collision-soundness and incremental-hash properties
-   for Analysis.Fingerprint, and unit coverage for the work-stealing
-   deque. *)
+(* Differential conformance tests for exploration across domains:
+   with the fingerprint cache off, the execution stream on d domains
+   must be byte-identical to the one-domain walk; with the cache on it
+   must preserve canonical do-log sets and violation verdicts.  Plus
+   the one-domain streaming guarantee, collision-soundness and
+   incremental-hash properties for Analysis.Fingerprint, and unit
+   coverage for the work-stealing deque. *)
 
 module E = Analysis.Explore
-module P = Analysis.Pexplore
 module F = Analysis.Fingerprint
 module O = Analysis.Oracle
 
@@ -15,32 +14,25 @@ let deep = Test_explore.deep
 
 (* CI's exhaustive job widens the grid via AMO_DOMAINS *)
 let domain_grid =
-  let base = [ 1; 2; 4 ] in
+  let base = [ 2; 4 ] in
   match Sys.getenv_opt "AMO_DOMAINS" with
   | Some s -> (
       match int_of_string_opt s with
-      | Some d when d >= 1 -> List.sort_uniq compare (d :: base)
+      | Some d when d >= 2 -> List.sort_uniq compare (d :: base)
       | _ -> base)
   | None -> base
 
-let collect_seq ?(strategy = E.Por) factory =
+let collect ?(strategy = E.Por) ?fingerprint ~domains factory =
   let out = ref [] in
   let stats =
-    E.explore ~strategy ~factory ~branch_depth:deep ~max_steps:10_000
-      ~on_execution:(fun e -> out := (e.E.schedule, e.E.dos) :: !out)
-      ()
-  in
-  (List.rev !out, stats)
-
-let collect_par ?(strategy = E.Por) ?fingerprint ~domains factory =
-  let out = ref [] in
-  let stats =
-    P.explore ~strategy ?fingerprint ~domains ~factory ~branch_depth:deep
+    E.explore ~strategy ?fingerprint ~domains ~factory ~branch_depth:deep
       ~max_steps:10_000
       ~on_execution:(fun e -> out := (e.E.schedule, e.E.dos) :: !out)
       ()
   in
   (List.rev !out, stats)
+
+let collect_seq ?strategy factory = collect ?strategy ~domains:1 factory
 
 let canon stream =
   List.sort_uniq compare (List.map (fun (_, dos) -> E.canonical_do_log dos) stream)
@@ -62,14 +54,14 @@ let test_streams_identical () =
       let seq_stream, seq_stats = collect_seq factory in
       List.iter
         (fun domains ->
-          let par_stream, par_stats = collect_par ~domains factory in
+          let par_stream, par_stats = collect ~domains factory in
           let tag = Printf.sprintf "%s d=%d" label domains in
           Alcotest.(check int)
             (tag ^ ": executions")
-            seq_stats.E.executions par_stats.P.executions;
+            seq_stats.E.executions par_stats.E.executions;
           Alcotest.(check bool)
             (tag ^ ": fully exhaustive")
-            seq_stats.E.fully_exhaustive par_stats.P.fully_exhaustive;
+            seq_stats.E.fully_exhaustive par_stats.E.fully_exhaustive;
           Alcotest.(check bool)
             (tag ^ ": stream byte-identical")
             true
@@ -86,7 +78,7 @@ let test_cache_preserves_sets () =
       List.iter
         (fun domains ->
           let par_stream, par_stats =
-            collect_par ~domains ~fingerprint:true factory
+            collect ~domains ~fingerprint:true factory
           in
           let tag = Printf.sprintf "%s d=%d cache" label domains in
           Alcotest.(check bool)
@@ -95,10 +87,10 @@ let test_cache_preserves_sets () =
             (canon par_stream = canon seq_stream);
           Alcotest.(check bool)
             (Printf.sprintf "%s: pruned %d <= %d executions" tag
-               par_stats.P.executions seq_stats.E.executions)
+               par_stats.E.executions seq_stats.E.executions)
             true
-            (par_stats.P.executions <= seq_stats.E.executions);
-          match par_stats.P.cache with
+            (par_stats.E.executions <= seq_stats.E.executions);
+          match par_stats.E.cache with
           | None -> Alcotest.fail (tag ^ ": cache stats missing")
           | Some c ->
               Alcotest.(check bool)
@@ -112,8 +104,8 @@ let test_cache_preserves_sets () =
    two runs produce the same stream *)
 let test_cache_deterministic_single_domain () =
   let factory = Test_explore.kk_factory ~n:3 ~m:2 ~beta:2 in
-  let s1, _ = collect_par ~domains:1 ~fingerprint:true factory in
-  let s2, _ = collect_par ~domains:1 ~fingerprint:true factory in
+  let s1, _ = collect ~domains:1 ~fingerprint:true factory in
+  let s2, _ = collect ~domains:1 ~fingerprint:true factory in
   Alcotest.(check bool) "same stream twice" true (s1 = s2)
 
 (* ---- the seeded mutant through the parallel path ---- *)
@@ -124,8 +116,8 @@ let test_mutant_parallel () =
     E.check ~strategy:E.Por ~factory ~branch_depth:deep ~max_steps:10_000
       ~oracles:[ O.at_most_once ] ()
   in
-  let par, pstats =
-    P.check ~domains:3 ~factory ~branch_depth:deep ~max_steps:10_000
+  let par =
+    E.check ~domains:3 ~factory ~branch_depth:deep ~max_steps:10_000
       ~oracles:[ O.at_most_once ] ()
   in
   Alcotest.(check bool) "caught sequentially" true (seq.E.violating > 0);
@@ -146,10 +138,11 @@ let test_mutant_parallel () =
   | Some (s1, _), Some (s2, _) ->
       Alcotest.(check (list int)) "same shrunk schedule" s1 s2
   | _ -> Alcotest.fail "shrunk counterexample missing");
-  Alcotest.(check bool) "parallel stats sane" true (pstats.P.executions > 0);
+  Alcotest.(check int)
+    "same execution count" seq.E.stats.E.executions par.E.stats.E.executions;
   (* cache on: still caught, shrunk schedule still violates *)
-  let parf, _ =
-    P.check ~domains:3 ~fingerprint:true ~factory ~branch_depth:deep
+  let parf =
+    E.check ~domains:3 ~fingerprint:true ~factory ~branch_depth:deep
       ~max_steps:10_000 ~oracles:[ O.at_most_once ] ()
   in
   Alcotest.(check bool) "caught with cache" true (parf.E.violating > 0);
@@ -164,6 +157,51 @@ let test_mutant_parallel () =
            (fun v -> v.O.oracle = "at-most-once")
            (O.check_all [ O.at_most_once ] e.E.trace))
 
+(* ---- one domain streams ---- *)
+
+exception First_execution
+
+(* On one domain each execution reaches [on_execution] as soon as it
+   is found, so an exception there escapes before the explorer has
+   built more than the instance it is walking (one spare allowed). *)
+let test_one_domain_streams () =
+  let builds = ref 0 in
+  let factory () =
+    incr builds;
+    Core.Trivial.processes ~n:40 ~m:2
+  in
+  let explore on_execution =
+    E.explore ~strategy:E.Brute_force ~domains:1 ~factory ~branch_depth:12
+      ~max_steps:1000 ~on_execution ()
+  in
+  (match explore (fun _ -> raise First_execution) with
+  | _ -> Alcotest.fail "no execution delivered"
+  | exception First_execution -> ());
+  Alcotest.(check bool)
+    (Printf.sprintf "factory ran %d <= 2 times" !builds)
+    true (!builds <= 2);
+  Alcotest.(check int) "2^12 executions" 4096
+    (explore ignore).E.executions
+
+(* ---- amo_run explore CLI: exit codes ---- *)
+
+let test_explore_cli () =
+  let exe = Filename.quote (Helpers.amo_exe ()) in
+  let out, status =
+    Helpers.run_capture
+      (exe
+     ^ " explore --jobs 3 --procs 2 --domains 2 --fingerprint --differential \
+        2>&1")
+  in
+  Alcotest.(check int) "differential run exits 0" 0 (Helpers.exit_code status);
+  Alcotest.(check bool) "differential OK printed" true
+    (Test_obs.contains out "differential    : OK");
+  let _, status =
+    Helpers.run_capture (exe ^ " explore --domains 0 >/dev/null 2>&1")
+  in
+  Alcotest.(check int) "--domains 0 is a CLI error (124)" 124
+    (Helpers.exit_code status)
+
 (* ---- QCheck: the differential property over a seeded grid ---- *)
 
 (* m stays at 2: the m=3 instances blow up under an unlimited branch
@@ -171,7 +209,7 @@ let test_mutant_parallel () =
    cases instead) *)
 let prop_differential =
   QCheck.Test.make
-    ~name:"Pexplore = Explore (streams cache-off, sets cache-on) on KK grid"
+    ~name:"d domains = one domain (streams cache-off, sets cache-on) on KK grid"
     ~count:15
     QCheck.(triple (int_range 2 4) (int_range 2 3) (int_range 1 4))
     (fun (n, beta, domains) ->
@@ -182,15 +220,15 @@ let prop_differential =
       let beta = max 2 beta and domains = max 1 domains in
       let factory = Test_explore.kk_factory ~n ~m ~beta in
       let seq_stream, seq_stats = collect_seq factory in
-      let par_stream, par_stats = collect_par ~domains factory in
+      let par_stream, par_stats = collect ~domains factory in
       let parf_stream, parf_stats =
-        collect_par ~domains ~fingerprint:true factory
+        collect ~domains ~fingerprint:true factory
       in
       par_stream = seq_stream
-      && par_stats.P.executions = seq_stats.E.executions
-      && par_stats.P.fully_exhaustive = seq_stats.E.fully_exhaustive
+      && par_stats.E.executions = seq_stats.E.executions
+      && par_stats.E.fully_exhaustive = seq_stats.E.fully_exhaustive
       && canon parf_stream = canon seq_stream
-      && parf_stats.P.executions <= seq_stats.E.executions)
+      && parf_stats.E.executions <= seq_stats.E.executions)
 
 (* ---- fingerprint collision soundness on a reference model ---- *)
 
@@ -406,6 +444,9 @@ let suite =
       test_cache_deterministic_single_domain;
     Alcotest.test_case "mutant caught via parallel path, same shrunk" `Slow
       test_mutant_parallel;
+    Alcotest.test_case "one domain streams executions" `Quick
+      test_one_domain_streams;
+    Alcotest.test_case "explore CLI exit codes 0/124" `Quick test_explore_cli;
     Alcotest.test_case "fingerprint table bounded, counters" `Quick
       test_fingerprint_table;
     Alcotest.test_case "wsdeque pop/steal orders" `Quick test_wsdeque_orders;
