@@ -89,7 +89,9 @@ type t = {
   initial_free : Set.t;
   mutable status : status;
   mutable free : Set.t;
-  mutable done_set : Set.t;
+  (* No DONE field: in Fig. 2 a job enters DONE exactly when it leaves
+     FREE, so DONE = initial_free \ free, and a candidate drawn from
+     FREE is outside DONE iff it is still in FREE. *)
   mutable tries : Set.t;
   pos : int array; (* pos.(q), 1-based, next cell of row q to read/write *)
   mutable next_j : int;
@@ -145,7 +147,6 @@ let create ~shared ~pid ~beta ~policy ~free ?collision
     initial_free = free;
     status = Comp_next;
     free;
-    done_set = Set.empty;
     tries = Set.empty;
     pos = Array.make (shared.sh_m + 1) 1;
     next_j = 0;
@@ -167,13 +168,39 @@ let cols t = Memory.matrix_cols t.shared.done_m
 let internal_event t action =
   if t.verbose then [ Event.Internal { p = t.pid; action } ] else []
 
-let read_event t cell value ~wid =
-  if t.verbose then [ Event.Read { p = t.pid; cell; value; wid } ] else []
+(* Events are built only when the run asks for them ([verbose] for
+   register accesses, [provenance] for job lifecycle), and only inside
+   that branch: a quiet step neither formats a cell name (a [sprintf])
+   nor allocates a record it would drop.  An access event is built
+   right after its access, so a write reports its own write-id. *)
+let access_event t ~write cell value ~wid =
+  if write then Event.Write { p = t.pid; cell; value; wid }
+  else Event.Read { p = t.pid; cell; value; wid }
 
-let write_event t cell value ~wid =
-  if t.verbose then [ Event.Write { p = t.pid; cell; value; wid } ] else []
+let next_event t ~write q value =
+  if t.verbose then
+    [
+      access_event t ~write
+        (Memory.vname t.shared.next ~cell:q)
+        value
+        ~wid:(Memory.vwid t.shared.next q);
+    ]
+  else []
 
-let prov_event t ev = if t.provenance then [ ev ] else []
+let done_event t ~write ~row ~col value =
+  if t.verbose then
+    [
+      access_event t ~write
+        (Memory.mname t.shared.done_m ~row ~col)
+        value
+        ~wid:(Memory.mwid t.shared.done_m row col);
+    ]
+  else []
+
+let flag_event t ~write flag value =
+  if t.verbose then
+    [ access_event t ~write (Register.name flag) value ~wid:(Register.wid flag) ]
+  else []
 
 (* Start the IterStepKK termination sequence: recompute TRY and DONE
    from shared memory, then produce the output set. *)
@@ -203,14 +230,17 @@ let step_comp_next t =
     t.next_j <-
       P.choose t.policy ~p:t.pid ~m:(m t) ~free:t.free ~try_set:t.tries;
     let pick =
-      prov_event t
-        (Event.Pick
-           {
-             p = t.pid;
-             job = t.next_j;
-             free_card = Set.cardinal t.free;
-             try_card = Set.cardinal t.tries;
-           })
+      if t.provenance then
+        [
+          Event.Pick
+            {
+              p = t.pid;
+              job = t.next_j;
+              free_card = Set.cardinal t.free;
+              try_card = Set.cardinal t.tries;
+            };
+        ]
+      else []
     in
     t.tries <- Set.empty;
     Hashtbl.reset t.try_owner;
@@ -231,21 +261,17 @@ let step_comp_next t =
 let step_set_flag t =
   let flag = Option.get t.shared.flag in
   Register.write flag ~p:t.pid 1;
-  let ev = write_event t (Register.name flag) 1 ~wid:(Register.wid flag) in
+  let ev = flag_event t ~write:true flag 1 in
   enter_final_gather t;
   ev
 
 let step_set_next t =
   Memory.vset t.shared.next ~p:t.pid t.pid t.next_j;
-  let ev =
-    write_event t
-      (Memory.vname t.shared.next ~cell:t.pid)
-      t.next_j
-      ~wid:(Memory.vwid t.shared.next t.pid)
-  in
+  let ev = next_event t ~write:true t.pid t.next_j in
   t.q <- 1;
   t.status <- Gather_try;
-  ev @ prov_event t (Event.Announce { p = t.pid; job = t.next_j })
+  if t.provenance then ev @ [ Event.Announce { p = t.pid; job = t.next_j } ]
+  else ev
 
 let step_gather_try t =
   let ev =
@@ -256,8 +282,7 @@ let step_gather_try t =
         if t.blame then Hashtbl.replace t.try_owner v t.q;
         Metrics.add_work (metrics t) ~p:t.pid t.shared.log_unit
       end;
-      read_event t (Memory.vname t.shared.next ~cell:t.q) v
-        ~wid:(Memory.vwid t.shared.next t.q)
+      next_event t ~write:false t.q v
     end
     else begin
       Metrics.on_internal (metrics t) ~p:t.pid;
@@ -276,14 +301,8 @@ let step_gather_done t =
     if t.q <> t.pid && t.pos.(t.q) <= cols t then begin
       let c = t.pos.(t.q) in
       let v = Memory.mget t.shared.done_m ~p:t.pid t.q c in
-      let ev =
-        read_event t
-          (Memory.mname t.shared.done_m ~row:t.q ~col:c)
-          v
-          ~wid:(Memory.mwid t.shared.done_m t.q c)
-      in
+      let ev = done_event t ~write:false ~row:t.q ~col:c v in
       if v > 0 then begin
-        t.done_set <- Set.add v t.done_set;
         t.free <- Set.remove v t.free;
         if t.blame && not (Hashtbl.mem t.done_owner v) then
           Hashtbl.add t.done_owner v t.q;
@@ -336,7 +355,7 @@ let step_check t =
   Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
   let safe =
     t.mutant_skip_check
-    || ((not (Set.mem t.next_j t.tries)) && not (Set.mem t.next_j t.done_set))
+    || ((not (Set.mem t.next_j t.tries)) && Set.mem t.next_j t.free)
   in
   if safe then begin
     (match t.mode with
@@ -347,14 +366,15 @@ let step_check t =
   else begin
     record_collision t;
     let forfeit =
-      prov_event t
-        (let hit, owner =
-           if Set.mem t.next_j t.tries then
-             ("try", Option.value ~default:0 (Hashtbl.find_opt t.try_owner t.next_j))
-           else
-             ("done", Option.value ~default:0 (Hashtbl.find_opt t.done_owner t.next_j))
-         in
-         Event.Forfeit { p = t.pid; job = t.next_j; hit; owner })
+      if t.provenance then
+        let hit, owner =
+          if Set.mem t.next_j t.tries then
+            ("try", Option.value ~default:0 (Hashtbl.find_opt t.try_owner t.next_j))
+          else
+            ("done", Option.value ~default:0 (Hashtbl.find_opt t.done_owner t.next_j))
+        in
+        [ Event.Forfeit { p = t.pid; job = t.next_j; hit; owner } ]
+      else []
     in
     t.status <- Comp_next;
     internal_event t "check(collision)" @ forfeit
@@ -363,7 +383,7 @@ let step_check t =
 let step_read_flag t =
   let flag = Option.get t.shared.flag in
   let v = Register.read flag ~p:t.pid in
-  let ev = read_event t (Register.name flag) v ~wid:(Register.wid flag) in
+  let ev = flag_event t ~write:false flag v in
   if v = 1 then enter_final_gather t else t.status <- Do_job;
   ev
 
@@ -378,13 +398,7 @@ let step_done_write t =
   let c = t.pos.(t.pid) in
   assert (c <= cols t);
   Memory.mset t.shared.done_m ~p:t.pid t.pid c t.next_j;
-  let ev =
-    write_event t
-      (Memory.mname t.shared.done_m ~row:t.pid ~col:c)
-      t.next_j
-      ~wid:(Memory.mwid t.shared.done_m t.pid c)
-  in
-  t.done_set <- Set.add t.next_j t.done_set;
+  let ev = done_event t ~write:true ~row:t.pid ~col:c t.next_j in
   t.free <- Set.remove t.next_j t.free;
   t.pos.(t.pid) <- c + 1;
   Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
@@ -422,14 +436,8 @@ let step_rec_scan t =
   let c = t.pos.(t.pid) in
   if c <= cols t then begin
     let v = Memory.mget t.shared.done_m ~p:t.pid t.pid c in
-    let ev =
-      read_event t
-        (Memory.mname t.shared.done_m ~row:t.pid ~col:c)
-        v
-        ~wid:(Memory.mwid t.shared.done_m t.pid c)
-    in
+    let ev = done_event t ~write:false ~row:t.pid ~col:c v in
     if v > 0 then begin
-      t.done_set <- Set.add v t.done_set;
       t.free <- Set.remove v t.free;
       t.pos.(t.pid) <- c + 1;
       Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit)
@@ -445,13 +453,8 @@ let step_rec_scan t =
 
 let step_rec_next t =
   let v = Memory.vget t.shared.next ~p:t.pid t.pid in
-  let ev =
-    read_event t
-      (Memory.vname t.shared.next ~cell:t.pid)
-      v
-      ~wid:(Memory.vwid t.shared.next t.pid)
-  in
-  if v > 0 && not (Set.mem v t.done_set) then begin
+  let ev = next_event t ~write:false t.pid v in
+  if v > 0 && Set.mem v t.free then begin
     t.rec_suspect <- v;
     t.status <- Rec_mark
   end
@@ -470,14 +473,11 @@ let step_rec_mark t =
   end
   else begin
     Memory.mset t.shared.done_m ~p:t.pid t.pid c t.rec_suspect;
-    let ev =
-      write_event t
-        (Memory.mname t.shared.done_m ~row:t.pid ~col:c)
-        t.rec_suspect
-        ~wid:(Memory.mwid t.shared.done_m t.pid c)
+    let ev = done_event t ~write:true ~row:t.pid ~col:c t.rec_suspect in
+    let recov =
+      if t.provenance then [ Event.Recover { p = t.pid; job = t.rec_suspect } ]
+      else []
     in
-    let recov = prov_event t (Event.Recover { p = t.pid; job = t.rec_suspect }) in
-    t.done_set <- Set.add t.rec_suspect t.done_set;
     t.free <- Set.remove t.rec_suspect t.free;
     t.pos.(t.pid) <- c + 1;
     Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
@@ -490,7 +490,6 @@ let restart t =
   if t.status <> Stop then false
   else begin
     t.free <- t.initial_free;
-    t.done_set <- Set.empty;
     t.tries <- Set.empty;
     Hashtbl.reset t.try_owner;
     Hashtbl.reset t.done_owner;
@@ -580,8 +579,9 @@ let hash_set s =
    status and local sets/cursors, plus the content hashes of the
    shared structures it reads.  Counters that only feed metrics
    accessors (n_done, n_collisions, n_restarts) are excluded — they
-   never influence a step.  Blame tables are hashed commutatively
-   because Hashtbl iteration order depends on insertion history. *)
+   never influence a step — and DONE needs no hash: FREE determines
+   it.  Blame tables are hashed commutatively because Hashtbl
+   iteration order depends on insertion history. *)
 let fingerprint t =
   let open Util.Mix in
   let h = combine (int 0x4B4B) (status_code t.status) in
@@ -590,7 +590,6 @@ let fingerprint t =
   let h = bool h t.finalizing in
   let h = combine h t.rec_suspect in
   let h = combine h (hash_set t.free) in
-  let h = combine h (hash_set t.done_set) in
   let h = combine h (hash_set t.tries) in
   let h = Array.fold_left combine h t.pos in
   let h = combine h (Memory.vhash t.shared.next) in
@@ -628,9 +627,14 @@ let collisions_detected t = t.n_collisions
 let status_name t = status_to_string t.status
 let free_set t = t.free
 let try_set t = t.tries
-let done_set t = t.done_set
+let done_set t =
+  Set.fold
+    (fun x acc -> if Set.mem x t.free then acc else Set.add x acc)
+    t.initial_free Set.empty
 let announced t = t.next_j
 
 end
 
 include Make (Ostree)
+
+let done_matrix shared = shared.done_m

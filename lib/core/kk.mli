@@ -99,7 +99,9 @@ module type S = Kk_intf.S
     - [result] is the IterStepKK output set ([Some] once terminated in
       [Iter_step] mode).
     - [do_count], [collisions_detected], [status_name], [free_set],
-      [try_set], [done_set], [announced]: introspection. *)
+      [try_set], [done_set], [announced]: introspection.  DONE is
+      derived, not stored: [done_set] is initial FREE \ FREE, built on
+      each call (a job enters DONE exactly when it leaves FREE). *)
 
 module Make (Set : Set_intf.S) : S with type set = Set.t
 (** KKβ over an arbitrary order-statistic backend. *)
@@ -107,3 +109,8 @@ module Make (Set : Set_intf.S) : S with type set = Set.t
 include S with type set = Ostree.t
 (** The default (AVL) instantiation — what the rest of the repository
     uses. *)
+
+val done_matrix : shared -> Shm.Memory.matrix
+(** The level's [done] matrix (row p holds the jobs p recorded), for
+    checkers that compare a process's DONE with shared memory through
+    {!Shm.Memory.mpeek}. *)

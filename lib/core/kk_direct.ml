@@ -13,8 +13,9 @@ type flag = { is_set : unit -> bool; set : unit -> unit }
 let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
     =
   let log_unit = Params.log2_ceil (max 2 cols) in
+  (* DONE is free0 \ FREE (a job enters DONE exactly when it leaves
+     FREE), so it needs no tree of its own *)
   let free = ref free0 in
-  let done_set = ref Ostree.empty in
   let tries = ref Ostree.empty in
   let pos = Array.make (m + 1) 1 in
   let count = ref 0 in
@@ -41,7 +42,6 @@ let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
             let v = regs.read_done q pos.(q) in
             Shm.Metrics.on_read ledger ~p:pid;
             if v > 0 then begin
-              done_set := Ostree.add v !done_set;
               free := Ostree.remove v !free;
               pos.(q) <- pos.(q) + 1;
               Shm.Metrics.add_work ledger ~p:pid (2 * log_unit)
@@ -89,7 +89,7 @@ let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
       gather_done ();
       Shm.Metrics.on_internal ledger ~p:pid;
       Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-      if Ostree.mem j !tries || Ostree.mem j !done_set then loop ()
+      if Ostree.mem j !tries || not (Ostree.mem j !free) then loop ()
       else if flag_seen () then finalize ()
       else begin
         (* do the job, then publish it *)
@@ -100,7 +100,6 @@ let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
         regs.write_done pos.(pid) j;
         Shm.Metrics.on_write ledger ~p:pid;
         Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-        done_set := Ostree.add j !done_set;
         free := Ostree.remove j !free;
         pos.(pid) <- pos.(pid) + 1;
         loop ()

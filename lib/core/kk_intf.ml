@@ -61,6 +61,8 @@ module type S = sig
   val try_set : t -> set
 
   val done_set : t -> set
+  (** Derived: initial FREE \ FREE, built on each call.  No DONE tree
+      is kept, since a job enters DONE exactly when it leaves FREE. *)
 
   val announced : t -> int
 end

@@ -12,7 +12,10 @@
     through counters rather than silent.
 
     Memory is bounded by [segment_bytes * max_segments] plus one
-    oversized record.  All operations are single-domain; wrap the
+    oversized record.  Segment bytes live off the OCaml heap, in
+    buffers allocated on first use and reused in place, so the ring
+    neither allocates when a segment is sealed nor counts as live heap
+    in the major GC's pacing.  All operations are single-domain; wrap the
     owning sink in {!Sink.locked} (or give each domain its own flight,
     as {!Multicore.Runner} does) for multicore use. *)
 
@@ -29,9 +32,9 @@ val create : ?segment_bytes:int -> ?max_segments:int -> unit -> t
 val push : t -> string -> unit
 (** Append one encoded record. *)
 
-val push_buf : t -> Buffer.t -> unit
-(** [push] from a caller-reused scratch buffer (the hot-path variant:
-    no intermediate string). *)
+val push_bytes : t -> Bytes.t -> len:int -> unit
+(** [push] of the first [len] bytes of a caller-reused scratch buffer
+    (the hot-path variant: no intermediate string). *)
 
 (** {2 Counters} — loss is visible, never silent. *)
 

@@ -10,154 +10,201 @@ type damage = { offset : int; reason : string }
 
 (* ---------- primitive writers ---------- *)
 
-let add_varint b n =
+let checksum_seed = 0xA5
+
+(* One frame under construction, written straight into a reusable
+   byte buffer.  The payload starts at offset 1, after one byte kept
+   for the length varint (enough for every payload under 128 bytes;
+   {!finish} shifts a longer one right), and every payload byte is
+   folded into the xor checksum as it is written. *)
+type writer = { mutable buf : Bytes.t; mutable len : int; mutable sum : int }
+
+let writer () = { buf = Bytes.create 128; len = 1; sum = checksum_seed }
+
+let reset w =
+  w.len <- 1;
+  w.sum <- checksum_seed
+
+let reserve w k =
+  if w.len + k > Bytes.length w.buf then begin
+    let b = Bytes.create (max (2 * Bytes.length w.buf) (w.len + k)) in
+    Bytes.blit w.buf 0 b 0 w.len;
+    w.buf <- b
+  end
+
+let add_byte w c =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr c);
+  w.len <- w.len + 1;
+  w.sum <- w.sum lxor c
+
+let rec add_varint w n =
   (* unsigned LEB128 over the int's bit pattern; [lsr] is logical so
      this terminates for negative inputs too (9 bytes max) *)
-  let n = ref n in
-  let fin = ref false in
-  while not !fin do
-    let byte = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char b (Char.chr byte);
-      fin := true
-    end
-    else Buffer.add_char b (Char.chr (byte lor 0x80))
-  done
+  let rest = n lsr 7 in
+  if rest = 0 then add_byte w n
+  else begin
+    add_byte w (n land 0x7f lor 0x80);
+    add_varint w rest
+  end
 
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 let unzigzag z = (z lsr 1) lxor (- (z land 1))
-let add_zint b n = add_varint b (zigzag n)
+let add_zint w n = add_varint w (zigzag n)
 
-let add_str b s =
-  add_varint b (String.length s);
-  Buffer.add_string b s
+let add_str w s =
+  let n = String.length s in
+  add_varint w n;
+  reserve w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  for i = 0 to n - 1 do
+    w.sum <- w.sum lxor Char.code (String.unsafe_get s i)
+  done;
+  w.len <- w.len + n
 
-let rec add_json b (j : Json.t) =
+let rec varint_width n = if n < 0x80 then 1 else 1 + varint_width (n lsr 7)
+
+(* [add_varint] at offset [i], outside the checksum *)
+let rec put_varint b i n =
+  let rest = n lsr 7 in
+  if rest = 0 then Bytes.unsafe_set b i (Char.unsafe_chr n)
+  else begin
+    Bytes.unsafe_set b i (Char.unsafe_chr (n land 0x7f lor 0x80));
+    put_varint b (i + 1) rest
+  end
+
+(* Close the frame: length varint in front, checksum byte behind.
+   Returns the frame's length; its bytes are [w.buf.[0 .. len-1]]. *)
+let finish w =
+  let plen = w.len - 1 in
+  let k = varint_width plen in
+  if k > 1 then begin
+    reserve w (k - 1);
+    Bytes.blit w.buf 1 w.buf k plen
+  end;
+  put_varint w.buf 0 plen;
+  w.len <- k + plen;
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr w.sum);
+  w.len + 1
+
+let rec add_json w (j : Json.t) =
   match j with
-  | Json.Null -> Buffer.add_char b '\000'
-  | Json.Bool false -> Buffer.add_char b '\001'
-  | Json.Bool true -> Buffer.add_char b '\002'
+  | Json.Null -> add_byte w 0
+  | Json.Bool false -> add_byte w 1
+  | Json.Bool true -> add_byte w 2
   | Json.Int n ->
-      Buffer.add_char b '\003';
-      add_zint b n
+      add_byte w 3;
+      add_zint w n
   | Json.Float f ->
       (* exact IEEE bit pattern, so NaN and -0. round-trip *)
-      Buffer.add_char b '\004';
-      Buffer.add_int64_le b (Int64.bits_of_float f)
+      add_byte w 4;
+      let bits = Int64.bits_of_float f in
+      for i = 0 to 7 do
+        add_byte w
+          (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff)
+      done
   | Json.String s ->
-      Buffer.add_char b '\005';
-      add_str b s
+      add_byte w 5;
+      add_str w s
   | Json.List l ->
-      Buffer.add_char b '\006';
-      add_varint b (List.length l);
-      List.iter (add_json b) l
+      add_byte w 6;
+      add_varint w (List.length l);
+      List.iter (add_json w) l
   | Json.Obj kvs ->
-      Buffer.add_char b '\007';
-      add_varint b (List.length kvs);
+      add_byte w 7;
+      add_varint w (List.length kvs);
       List.iter
         (fun (k, v) ->
-          add_str b k;
-          add_json b v)
+          add_str w k;
+          add_json w v)
         kvs
 
-let kind_byte : Sink.kind -> char = function
-  | Sink.Span -> '\000'
-  | Sink.Instant -> '\001'
-  | Sink.Counter -> '\002'
-  | Sink.Log -> '\003'
+let kind_byte : Sink.kind -> int = function
+  | Sink.Span -> 0
+  | Sink.Instant -> 1
+  | Sink.Counter -> 2
+  | Sink.Log -> 3
 
-let add_event b (e : Shm.Event.t) =
-  let tag c = Buffer.add_char b c in
+let add_event w (e : Shm.Event.t) =
   match e with
   | Shm.Event.Do { p; job } ->
-      tag '\000';
-      add_zint b p;
-      add_zint b job
+      add_byte w 0;
+      add_zint w p;
+      add_zint w job
   | Shm.Event.Crash { p } ->
-      tag '\001';
-      add_zint b p
+      add_byte w 1;
+      add_zint w p
   | Shm.Event.Restart { p } ->
-      tag '\002';
-      add_zint b p
+      add_byte w 2;
+      add_zint w p
   | Shm.Event.Terminate { p } ->
-      tag '\003';
-      add_zint b p
+      add_byte w 3;
+      add_zint w p
   | Shm.Event.Read { p; cell; value; wid } ->
-      tag '\004';
-      add_zint b p;
-      add_str b cell;
-      add_zint b value;
-      add_zint b wid
+      add_byte w 4;
+      add_zint w p;
+      add_str w cell;
+      add_zint w value;
+      add_zint w wid
   | Shm.Event.Write { p; cell; value; wid } ->
-      tag '\005';
-      add_zint b p;
-      add_str b cell;
-      add_zint b value;
-      add_zint b wid
+      add_byte w 5;
+      add_zint w p;
+      add_str w cell;
+      add_zint w value;
+      add_zint w wid
   | Shm.Event.Internal { p; action } ->
-      tag '\006';
-      add_zint b p;
-      add_str b action
+      add_byte w 6;
+      add_zint w p;
+      add_str w action
   | Shm.Event.Pick { p; job; free_card; try_card } ->
-      tag '\007';
-      add_zint b p;
-      add_zint b job;
-      add_zint b free_card;
-      add_zint b try_card
+      add_byte w 7;
+      add_zint w p;
+      add_zint w job;
+      add_zint w free_card;
+      add_zint w try_card
   | Shm.Event.Announce { p; job } ->
-      tag '\008';
-      add_zint b p;
-      add_zint b job
+      add_byte w 8;
+      add_zint w p;
+      add_zint w job
   | Shm.Event.Forfeit { p; job; hit; owner } ->
-      tag '\009';
-      add_zint b p;
-      add_zint b job;
-      add_str b hit;
-      add_zint b owner
+      add_byte w 9;
+      add_zint w p;
+      add_zint w job;
+      add_str w hit;
+      add_zint w owner
   | Shm.Event.Recover { p; job } ->
-      tag '\010';
-      add_zint b p;
-      add_zint b job
+      add_byte w 10;
+      add_zint w p;
+      add_zint w job
 
-let encode_payload b = function
+(* The [Event] payload, taken apart so the probe need not allocate the
+   item around each event. *)
+let add_step_event w ~step event =
+  add_byte w 1;
+  add_zint w step;
+  add_event w event
+
+let encode_payload w = function
   | Record (r : Sink.record) ->
-      Buffer.add_char b '\000';
-      add_zint b r.ts;
-      add_zint b r.dur;
-      add_zint b r.pid;
-      Buffer.add_char b (kind_byte r.kind);
-      add_str b r.name;
-      add_varint b (List.length r.args);
+      add_byte w 0;
+      add_zint w r.ts;
+      add_zint w r.dur;
+      add_zint w r.pid;
+      add_byte w (kind_byte r.kind);
+      add_str w r.name;
+      add_varint w (List.length r.args);
       List.iter
         (fun (k, v) ->
-          add_str b k;
-          add_json b v)
+          add_str w k;
+          add_json w v)
         r.args
-  | Event { step; event } ->
-      Buffer.add_char b '\001';
-      add_zint b step;
-      add_event b event
-
-let checksum_seed = 0xA5
-
-let encode_to ~payload ~frame item =
-  Buffer.clear payload;
-  Buffer.clear frame;
-  encode_payload payload item;
-  let len = Buffer.length payload in
-  add_varint frame len;
-  Buffer.add_buffer frame payload;
-  let x = ref checksum_seed in
-  for i = 0 to len - 1 do
-    x := !x lxor Char.code (Buffer.nth payload i)
-  done;
-  Buffer.add_char frame (Char.chr !x)
+  | Event { step; event } -> add_step_event w ~step event
 
 let encode item =
-  let payload = Buffer.create 64 and frame = Buffer.create 80 in
-  encode_to ~payload ~frame item;
-  Buffer.contents frame
+  let w = writer () in
+  encode_payload w item;
+  Bytes.sub_string w.buf 0 (finish w)
 
 (* ---------- primitive readers ---------- *)
 
@@ -344,10 +391,11 @@ let decode_file path =
 let sink fl = Sink.journal ~encode:(fun r -> encode (Record r)) fl
 
 let probe fl =
-  let payload = Buffer.create 128 and frame = Buffer.create 160 in
+  let w = writer () in
   Shm.Probe.make ~needs_phase:false (fun ~step ~phase:_ ev ->
-      encode_to ~payload ~frame (Event { step; event = ev });
-      Flight.push_buf fl frame)
+      reset w;
+      add_step_event w ~step ev;
+      Flight.push_bytes fl w.buf ~len:(finish w))
 
 (* ---------- dumps ---------- *)
 

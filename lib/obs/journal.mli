@@ -40,10 +40,6 @@ type item =
 val encode : item -> string
 (** One framed record (no file header). *)
 
-val encode_to : payload:Buffer.t -> frame:Buffer.t -> item -> unit
-(** Hot-path variant: encodes into caller-reused scratch buffers
-    (cleared first); the framed bytes end up in [frame]. *)
-
 type damage = { offset : int; reason : string }
 (** Where decoding stopped: [offset] is the byte offset (within the
     input as given, header included for {!decode_file}) of the first
@@ -66,9 +62,11 @@ val sink : Flight.t -> Sink.t
 
 val probe : Flight.t -> Shm.Probe.t
 (** The lean always-on write path: encodes each executor event as a
-    compact {!Event} item straight into the flight, reusing scratch
-    buffers, skipping the phase lookup ([needs_phase = false]) and the
-    per-event {!Sink.record} construction.  This is the path the E19
+    compact {!Event} item into one reused frame buffer (checksum
+    folded in as bytes are written, no payload copy, no item record),
+    then into the flight, skipping the phase lookup
+    ([needs_phase = false]) and the per-event {!Sink.record}
+    construction.  This is the path the E19
     bench holds under 5% overhead versus a null probe. *)
 
 (** {2 Dumps} *)

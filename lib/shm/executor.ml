@@ -23,6 +23,16 @@ let live_footprints handles =
   done;
   Array.of_list !acc
 
+(* Record and observe one step's events.  A plain recursion: a
+   [List.iter] partial application would allocate a closure on every
+   step. *)
+let rec emit trace probe ~observing ~step ~phase = function
+  | [] -> ()
+  | ev :: rest ->
+      Trace.record trace ~step ev;
+      if observing then Probe.on_event probe ~step ~phase ev;
+      emit trace probe ~observing ~step ~phase rest
+
 let validate handles =
   if Array.length handles = 0 then invalid_arg "Executor.run: no processes";
   Array.iteri
@@ -77,36 +87,64 @@ let run ?max_steps ?(trace_level = `Outcomes) ?(probe = Probe.null)
   let step = ref 0 in
   let reason = ref Quiescent in
   let finished = ref false in
+  (* The per-iteration helpers are built once, here: a closure built
+     inside the loop would be allocated on every step. *)
+  let crash_victim p =
+    if p >= 1 && p <= nprocs then begin
+      let h = handles.(p - 1) in
+      if h.Automaton.alive () then begin
+        (* Capture the phase before [crash] discards it. *)
+        let phase = if phased then h.Automaton.phase () else "" in
+        h.Automaton.crash ();
+        let ev = Event.Crash { p } in
+        Trace.record trace ~step:!step ev;
+        if observing then Probe.on_event probe ~step:!step ~phase ev
+      end
+    end
+  in
+  let record_restart p =
+    if p >= 1 && p <= nprocs then begin
+      let ev = Event.Restart { p } in
+      Trace.record trace ~step:!step ev;
+      if observing then Probe.on_event probe ~step:!step ~phase:"restart" ev
+    end
+  in
+  (* The live set as of the last iteration: [live.(i)] is the last
+     [alive ()] of handles.(i), [alive] the sorted live pids handed to
+     the scheduler.  Every iteration still asks every handle, in pid
+     order, but builds a new array only when an answer changed; the
+     array a scheduler has seen is never mutated. *)
+  let live = Array.make nprocs false in
+  let alive = ref [||] in
+  let refresh_live () =
+    let changed = ref false and count = ref 0 in
+    for i = 0 to nprocs - 1 do
+      let a = handles.(i).Automaton.alive () in
+      if a <> live.(i) then begin
+        live.(i) <- a;
+        changed := true
+      end;
+      if a then incr count
+    done;
+    if !changed then begin
+      let pids = Array.make !count 0 in
+      let k = ref 0 in
+      for i = 0 to nprocs - 1 do
+        if live.(i) then begin
+          pids.(!k) <- i + 1;
+          incr k
+        end
+      done;
+      alive := pids
+    end
+  in
   while not !finished do
-    let victims = Adversary.decide adversary ~step:!step ~handles in
-    List.iter
-      (fun p ->
-        if p >= 1 && p <= Array.length handles then begin
-          let h = handles.(p - 1) in
-          if h.Automaton.alive () then begin
-            (* Capture the phase before [crash] discards it. *)
-            let phase = if phased then h.Automaton.phase () else "" in
-            h.Automaton.crash ();
-            let ev = Event.Crash { p } in
-            Trace.record trace ~step:!step ev;
-            if observing then Probe.on_event probe ~step:!step ~phase ev
-          end
-        end)
-      victims;
+    List.iter crash_victim (Adversary.decide adversary ~step:!step ~handles);
     (match restarter with
     | None -> ()
-    | Some restart ->
-        let revived = restart ~step:!step ~handles in
-        List.iter
-          (fun p ->
-            if p >= 1 && p <= Array.length handles then begin
-              let ev = Event.Restart { p } in
-              Trace.record trace ~step:!step ev;
-              if observing then
-                Probe.on_event probe ~step:!step ~phase:"restart" ev
-            end)
-          revived);
-    let alive = live_pids handles in
+    | Some restart -> List.iter record_restart (restart ~step:!step ~handles));
+    refresh_live ();
+    let alive = !alive in
     if Array.length alive = 0 then finished := true
     else if !step >= max_steps then begin
       reason := Max_steps;
@@ -121,19 +159,7 @@ let run ?max_steps ?(trace_level = `Outcomes) ?(probe = Probe.null)
       let phase = if phased then h.Automaton.phase () else "" in
       let events = h.Automaton.step () in
       advance_clock p events;
-      List.iter (Trace.record trace ~step:!step) events;
-      if observing then begin
-        (* manual loop: a [List.iter] partial application would
-           allocate a closure on every observed step *)
-        let step = !step in
-        let rec emit = function
-          | [] -> ()
-          | ev :: rest ->
-              Probe.on_event probe ~step ~phase ev;
-              emit rest
-        in
-        emit events
-      end;
+      emit trace probe ~observing ~step:!step ~phase events;
       incr step
     end
   done;

@@ -6,11 +6,14 @@ let choose t ~alive =
   if Array.length alive = 0 then invalid_arg "Schedule.choose: no live process";
   t.choose ~alive
 
-(* Smallest live pid strictly greater than [p], wrapping around. *)
-let next_after alive p =
-  let n = Array.length alive in
-  let rec find i = if i >= n then alive.(0) else if alive.(i) > p then alive.(i) else find (i + 1) in
-  find 0
+(* Smallest live pid strictly greater than [p], wrapping around.  A
+   toplevel recursion: a local one would allocate a closure per call. *)
+let rec next_from alive p i =
+  if i >= Array.length alive then alive.(0)
+  else if alive.(i) > p then alive.(i)
+  else next_from alive p (i + 1)
+
+let next_after alive p = next_from alive p 0
 
 let round_robin () =
   let last = ref 0 in

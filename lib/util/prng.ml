@@ -2,39 +2,44 @@
    number generators", OOPSLA 2014.  The golden-gamma increment and the
    two finalizer rounds below are the reference constants. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable int64] field
+   would box a fresh int64 on every advance.  Drawing an [int] thus
+   allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_le g 0 seed;
+  g
 
 let of_int seed = create (Int64.of_int seed)
 
-let copy g = { state = g.state }
+let copy = Bytes.copy
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next_int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix g.state
+let[@inline] next_int64 g =
+  let s = Int64.add (Bytes.get_int64_le g 0) golden_gamma in
+  Bytes.set_int64_le g 0 s;
+  mix s
 
-let split g =
-  let seed = next_int64 g in
-  create (mix seed)
+let split g = create (mix (next_int64 g))
+
+(* Rejection sampling on the high bits keeps the distribution exactly
+   uniform even when [bound] does not divide 2^62. *)
+let rec draw g bound =
+  let bits = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2) in
+  let v = bits mod bound in
+  if bits - v + (bound - 1) < 0 then draw g bound else v
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling on the high bits keeps the distribution exactly
-     uniform even when [bound] does not divide 2^62. *)
-  let rec draw () =
-    let bits = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2) in
-    let v = bits mod bound in
-    if bits - v + (bound - 1) < 0 then draw () else v
-  in
-  draw ()
+  draw g bound
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: hi < lo";

@@ -230,11 +230,26 @@ let make_kk_instance ~n ~m ~beta =
         Core.Kk.create ~shared ~pid:(i + 1) ~beta ~policy:Core.Policy.Rank_split
           ~free:(Core.Job.universe ~n) ~mode:Core.Kk.Standalone ())
   in
-  (procs, Array.map Core.Kk.handle procs)
+  (shared, procs, Array.map Core.Kk.handle procs)
+
+(* Which jobs the done matrix records anywhere, and each row's jobs. *)
+let recorded done_m ~n ~m =
+  let any = Array.make (n + 1) false and own = Array.make (m + 1) [] in
+  for row = 1 to m do
+    for col = 1 to Shm.Memory.matrix_cols done_m do
+      let j = Shm.Memory.mpeek done_m row col in
+      if j > 0 then begin
+        any.(j) <- true;
+        own.(row) <- j :: own.(row)
+      end
+    done
+  done;
+  (any, own)
 
 let test_internal_invariants_during_run () =
   let n = 60 and m = 4 in
-  let procs, handles = make_kk_instance ~n ~m ~beta:m in
+  let shared, procs, handles = make_kk_instance ~n ~m ~beta:m in
+  let done_m = Core.Kk.done_matrix shared in
   let sched = Shm.Schedule.random (Util.Prng.of_int 17) in
   let steps = ref 0 in
   let rec loop () =
@@ -242,19 +257,27 @@ let test_internal_invariants_during_run () =
     if Array.length alive > 0 && !steps < 100_000 then begin
       incr steps;
       ignore (handles.(Shm.Schedule.choose sched ~alive - 1).Shm.Automaton.step ());
-      (* invariants from the paper: |TRY| < m; FREE ∩ DONE = ∅;
+      (* invariants from the paper: |TRY| < m; DONE agrees with shared
+         memory (every job in DONE is recorded in some done row, and
+         every job p recorded in its own row is in p's DONE); the
          announced job, once set, is a real job id *)
-      Array.iter
-        (fun p ->
+      let any, own = recorded done_m ~n ~m in
+      Array.iteri
+        (fun i p ->
           let tries = Core.Kk.try_set p in
           if Ostree.cardinal tries >= m then
             Alcotest.failf "|TRY| = %d >= m" (Ostree.cardinal tries);
-          let free = Core.Kk.free_set p and done_ = Core.Kk.done_set p in
+          let done_ = Core.Kk.done_set p in
           Ostree.iter
             (fun x ->
-              if Ostree.mem x done_ then
-                Alcotest.failf "job %d in FREE and DONE" x)
-            free;
+              if not any.(x) then
+                Alcotest.failf "p%d: job %d in DONE but in no done row" (i + 1) x)
+            done_;
+          List.iter
+            (fun x ->
+              if not (Ostree.mem x done_) then
+                Alcotest.failf "p%d recorded job %d but DONE misses it" (i + 1) x)
+            own.(i + 1);
           let a = Core.Kk.announced p in
           if a <> 0 && not (Core.Job.is_valid ~n a) then
             Alcotest.failf "bad announcement %d" a)
@@ -267,7 +290,7 @@ let test_internal_invariants_during_run () =
 
 let test_done_set_matches_shared_memory () =
   let n = 40 and m = 3 in
-  let procs, handles = make_kk_instance ~n ~m ~beta:m in
+  let _, procs, handles = make_kk_instance ~n ~m ~beta:m in
   let outcome =
     Shm.Executor.run
       ~scheduler:(Shm.Schedule.round_robin ())
@@ -291,7 +314,7 @@ let test_done_set_matches_shared_memory () =
     procs
 
 let test_status_progression () =
-  let _, handles = make_kk_instance ~n:10 ~m:2 ~beta:2 in
+  let _, _, handles = make_kk_instance ~n:10 ~m:2 ~beta:2 in
   let h = handles.(0) in
   Alcotest.(check string) "starts comp_next" "comp_next" (h.Shm.Automaton.phase ());
   ignore (h.Shm.Automaton.step ());
@@ -300,7 +323,7 @@ let test_status_progression () =
   Alcotest.(check string) "then gather_try" "gather_try" (h.Shm.Automaton.phase ())
 
 let test_crash_is_idempotent_and_final () =
-  let _, handles = make_kk_instance ~n:10 ~m:2 ~beta:2 in
+  let _, _, handles = make_kk_instance ~n:10 ~m:2 ~beta:2 in
   let h = handles.(0) in
   h.Shm.Automaton.crash ();
   h.Shm.Automaton.crash ();
@@ -446,6 +469,30 @@ let test_verbose_traces_audit () =
       (Shm.Metrics.writes s.Core.Harness.metrics ~p)
       rows.(p).Analysis.Timeline.writes
   done
+
+(* Two seeded runs pinned by digest.  The printed trace fixes every
+   emitted event with its cell name and write-id, the step count fixes
+   the schedule, so any change to how events, names, the live set or
+   the random stream are produced shows up here. *)
+let test_pinned_seeded_traces () =
+  let run ~verbose ~trace_level =
+    let s =
+      Core.Harness.kk ~verbose ~provenance:true ~trace_level
+        ~scheduler:(Shm.Schedule.random (Util.Prng.of_int 5))
+        ~n:24 ~m:3 ~beta:3 ()
+    in
+    let printed = Format.asprintf "%a" Shm.Trace.pp s.Core.Harness.trace in
+    ( s.Core.Harness.steps,
+      Shm.Trace.length s.Core.Harness.trace,
+      Digest.to_hex (Digest.string printed) )
+  in
+  let pinned = Alcotest.(triple int int string) in
+  Alcotest.check pinned "verbose `Full trace"
+    (318, 370, "b7050b7adbede4516964eda4828f9b98")
+    (run ~verbose:true ~trace_level:`Full);
+  Alcotest.check pinned "quiet `Outcomes trace"
+    (318, 78, "86547251bf0ce975d576fe3a7d3f16d3")
+    (run ~verbose:false ~trace_level:`Outcomes)
 
 (* ---- bounded-exhaustive interleaving check of the full automaton ---- *)
 
@@ -605,6 +652,7 @@ let suite =
       test_iter_step_keep_try_covers_rest;
     Alcotest.test_case "heterogeneous FREE sets" `Quick
       test_heterogeneous_free_sets;
+    Alcotest.test_case "pinned seeded traces" `Quick test_pinned_seeded_traces;
     Alcotest.test_case "verbose traces audit + match metrics" `Quick
       test_verbose_traces_audit;
     Alcotest.test_case "bounded-exhaustive interleavings" `Slow

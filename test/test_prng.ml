@@ -24,6 +24,39 @@ let test_copy_replays () =
   let b = Array.init 10 (fun _ -> Util.Prng.next_int64 c) in
   Alcotest.(check (array int64)) "copy replays" a b
 
+(* The first values of [Prng.of_int 42], pinned: the state layout may
+   change, the streams may not. *)
+let golden_next_int64 =
+  [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+    6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+    4028864712777624925L; -3677692746721775708L ]
+
+let test_golden_values () =
+  let draw k f = List.init k (fun _ -> f ()) in
+  let g = Util.Prng.of_int 42 in
+  Alcotest.(check (list int64)) "next_int64" golden_next_int64
+    (draw 8 (fun () -> Util.Prng.next_int64 g));
+  let g = Util.Prng.of_int 42 in
+  Alcotest.(check (list int)) "int g 1000"
+    [ 853; 72; 964; 941; 812; 265; 231; 977 ]
+    (draw 8 (fun () -> Util.Prng.int g 1000));
+  let s = Util.Prng.split (Util.Prng.of_int 42) in
+  Alcotest.(check (list int64)) "split stream"
+    [ -4204815582636234286L; 7040222520599051659L; -5426180739752472406L;
+      -7348579604204979571L; 328699146309096365L; -1747375034417295713L;
+      -8831238543770038794L; 3236340736668904654L ]
+    (draw 8 (fun () -> Util.Prng.next_int64 s));
+  (* a copy taken mid-stream replays the rest, and drawing from one
+     leaves the other's state alone *)
+  let g = Util.Prng.of_int 42 in
+  ignore (draw 3 (fun () -> Util.Prng.next_int64 g));
+  let c = Util.Prng.copy g in
+  let rest = List.filteri (fun i _ -> i >= 3) golden_next_int64 in
+  Alcotest.(check (list int64)) "original after copy" rest
+    (draw 5 (fun () -> Util.Prng.next_int64 g));
+  Alcotest.(check (list int64)) "copy replays" rest
+    (draw 5 (fun () -> Util.Prng.next_int64 c))
+
 let test_split_independent () =
   let g = Util.Prng.create 99L in
   let h = Util.Prng.split g in
@@ -137,6 +170,7 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "copy replays stream" `Quick test_copy_replays;
+    Alcotest.test_case "golden values" `Quick test_golden_values;
     Alcotest.test_case "split independence" `Quick test_split_independent;
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int invalid bound" `Quick test_int_invalid;

@@ -236,6 +236,112 @@ let test_executor_validates_pids () =
            ~adversary:Adversary.none
            [| stub ~pid:2 ~steps_to_do:1 |]))
 
+(* ---- the executor's live set ---- *)
+
+(* A process that can be crashed and revived from outside ([stopped]),
+   and whose [alive] also turns false, without a step, once [gone ()]
+   holds. *)
+let revivable ~pid ~steps ~gone =
+  let remaining = ref steps and stopped = ref false in
+  ( {
+      Automaton.pid;
+      step =
+        (fun () ->
+          decr remaining;
+          []);
+      alive = (fun () -> (not !stopped) && !remaining > 0 && not (gone ()));
+      crash = (fun () -> stopped := true);
+      phase = (fun () -> "run");
+      footprint = (fun () -> Footprint.Internal);
+      fingerprint = Automaton.opaque;
+    },
+    stopped )
+
+let test_executor_live_set () =
+  let taken = ref 0 in
+  let p1, stopped1 = revivable ~pid:1 ~steps:40 ~gone:(fun () -> false) in
+  let p2, stopped2 = revivable ~pid:2 ~steps:40 ~gone:(fun () -> false) in
+  let p3, _ = revivable ~pid:3 ~steps:40 ~gone:(fun () -> !taken >= 6) in
+  let handles = [| p1; p2; p3 |] in
+  (* every array the scheduler saw, with a copy taken when it saw it *)
+  let seen = ref [] in
+  let scheduler =
+    Schedule.custom ~name:"check-live" (fun ~alive ->
+        let want = Executor.live_pids handles in
+        if alive <> want then
+          Alcotest.failf "step %d: scheduler saw %d live, live_pids %d" !taken
+            (Array.length alive) (Array.length want);
+        seen := (alive, Array.copy alive) :: !seen;
+        incr taken;
+        alive.(!taken mod Array.length alive))
+  in
+  (* p2 crashes at step 3 and p3 is gone from step 6.  At step 12 p1
+     crashes and p2 is revived in the same iteration: the live set
+     changes but keeps its size.  At step 20 p2 crashes, nobody is
+     live, and the restarter revives p1. *)
+  let revivals = ref 0 in
+  let restarter ~step:_ ~handles:_ =
+    match !revivals with
+    | 0 when !stopped1 ->
+        incr revivals;
+        stopped2 := false;
+        [ 2 ]
+    | 1 when !stopped2 ->
+        incr revivals;
+        stopped1 := false;
+        [ 1 ]
+    | _ -> []
+  in
+  let outcome =
+    Executor.run ~restarter ~scheduler
+      ~adversary:(Adversary.at_steps [ (3, 2); (12, 1); (20, 2) ])
+      handles
+  in
+  Alcotest.(check bool) "quiescent" true
+    (outcome.Executor.reason = Executor.Quiescent);
+  Alcotest.(check (list int)) "crashes" [ 2; 1; 2 ]
+    (Trace.crashes outcome.Executor.trace);
+  Alcotest.(check (list int)) "revived" [ 2; 1 ]
+    (Trace.restarts outcome.Executor.trace);
+  Alcotest.(check int) "one choice per step" outcome.Executor.steps !taken;
+  List.iter
+    (fun (arr, copy) ->
+      if arr <> copy then Alcotest.fail "a live array was mutated after use")
+    !seen
+
+(* The executor loop allocates nothing per step: a no-op automaton at
+   [`Silent] with the null probe stays under one minor word a step. *)
+let test_executor_loop_allocation_free () =
+  let noop pid =
+    {
+      Automaton.pid;
+      step = (fun () -> []);
+      alive = (fun () -> true);
+      crash = (fun () -> ());
+      phase = (fun () -> "noop");
+      footprint = (fun () -> Footprint.Internal);
+      fingerprint = Automaton.opaque;
+    }
+  in
+  List.iter
+    (fun (name, scheduler) ->
+      let handles = Array.init 8 (fun i -> noop (i + 1)) in
+      let steps = 100_000 in
+      let before = Gc.minor_words () in
+      let outcome =
+        Executor.run ~max_steps:steps ~trace_level:`Silent ~scheduler
+          ~adversary:Adversary.none handles
+      in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) (name ^ ": steps") steps outcome.Executor.steps;
+      let per_step = words /. float_of_int steps in
+      if per_step >= 1. then
+        Alcotest.failf "%s: %.2f minor words per step" name per_step)
+    [
+      ("round-robin", Schedule.round_robin ());
+      ("random", Schedule.random (Util.Prng.of_int 1));
+    ]
+
 let test_adversary_at_start () =
   let handles = [| stub ~pid:1 ~steps_to_do:5; stub ~pid:2 ~steps_to_do:5 |] in
   let outcome =
@@ -320,6 +426,9 @@ let suite =
     Alcotest.test_case "executor quiescence" `Quick test_executor_quiescence;
     Alcotest.test_case "executor max steps" `Quick test_executor_max_steps;
     Alcotest.test_case "executor crash" `Quick test_executor_crash;
+    Alcotest.test_case "executor live set" `Quick test_executor_live_set;
+    Alcotest.test_case "executor loop allocation-free" `Quick
+      test_executor_loop_allocation_free;
     Alcotest.test_case "executor validates pids" `Quick
       test_executor_validates_pids;
     Alcotest.test_case "adversary at start" `Quick test_adversary_at_start;
