@@ -9,15 +9,16 @@
       is exact (identical to sketching the union); and with k = 1 the
       sketch degenerates to exactly [Obs.Histogram.percentile].
 
-   2. Agreement: the streaming [Obs.Monitor], fed the executor's
-      events one at a time through the probe seam, finalizes to
-      verdicts byte-identical to the post-hoc
-      [Analysis.Oracle.check_all] suite — across the E2 adversary
-      grid, random chaos plans (both above and below Lemma 4.3's
-      beta >= m termination threshold, exercising the oracle gating),
-      the committed golden counterexample plans, and the seeded
-      skip-recovery-mark mutant as a negative control (the monitor
-      must catch it, exactly as the oracles do).
+   2. Agreement: [Obs.Monitor] is the one implementation of the
+      verdict predicates, and [Analysis.Oracle]'s checkers are folds
+      of it, so a monitor fed a whole trace finalizes to the same
+      rendered verdicts as the [Analysis.Oracle.suite] by
+      construction.  The check stays as a regression test of that
+      folding — across the E2 adversary grid, random chaos plans
+      (both above and below Lemma 4.3's beta >= m termination
+      threshold, exercising the suite's gating), the committed golden
+      counterexample plans, and the seeded skip-recovery-mark mutant
+      as a negative control (the monitor must catch it).
 
    3. Cost: attaching a monitor probe to a [`Silent] run costs < 5%
       CPU time on the E4 work grid (median of paired on/off ratios,
@@ -102,38 +103,22 @@ let check_k1 samples =
 
 (* ---- 2. monitor agreement ---- *)
 
-(* Byte-identity is checked on the rendered verdicts — the exact
-   "[oracle] detail" lines amo_run prints — so a drift in either the
-   oracle names or the detail formatting fails the experiment. *)
-let render_oracle vs =
-  String.concat "\n"
-    (List.map
-       (fun (v : Analysis.Oracle.violation) ->
-         Format.asprintf "%a" Analysis.Oracle.pp_violation v)
-       vs)
-
-let render_monitor vs =
+(* Agreement is checked on the rendered verdicts — the exact
+   "[oracle] detail" lines amo_run prints.  Analysis.Oracle's checkers
+   are folds of Obs.Monitor, so the two sides agree by construction;
+   the rows stay as a regression check on that folding (a fresh
+   monitor per oracle against one monitor fed the whole trace). *)
+let render vs =
   String.concat "\n"
     (List.map (fun v -> Format.asprintf "%a" Obs.Monitor.pp_violation v) vs)
 
-(* The oracle suite the monitor replicates: at-most-once always,
-   effectiveness floor and quiescence only when beta >= m (Lemma 4.3)
-   — identical to [Fault.Chaos.oracles_for]. *)
-let oracle_suite ~n ~m ~beta =
-  Analysis.Oracle.at_most_once
-  ::
-  (if beta >= m then
-     [
-       Analysis.Oracle.recovery_effectiveness ~n ~m ~beta;
-       Analysis.Oracle.quiescence ~m;
-     ]
-   else [])
-
 let monitor_row ~label ~n ~m ~beta trace =
-  let want = render_oracle (Analysis.Oracle.check_all (oracle_suite ~n ~m ~beta) trace) in
+  let want =
+    render (Analysis.Oracle.check_all (Analysis.Oracle.suite ~n ~m ~beta) trace)
+  in
   let mon = Obs.Monitor.create ~n ~m ~beta () in
   Obs.Monitor.observe_trace mon trace;
-  let got = render_monitor (Obs.Monitor.finalize mon) in
+  let got = render (Obs.Monitor.finalize mon) in
   let ok = String.equal got want in
   let verdict_cell =
     if not ok then "DISAGREE"
@@ -354,8 +339,8 @@ let run () =
   let mutant_caught =
     mutant_verdicts <> []
     && String.equal
-         (render_monitor mutant_verdicts)
-         (render_oracle mr.Fault.Chaos.violations)
+         (render mutant_verdicts)
+         (render mr.Fault.Chaos.violations)
   in
   if not mutant_caught then all_ok := false;
   Printf.printf "\n  negative control: skip-recovery-mark mutant %s\n"

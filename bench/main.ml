@@ -4,9 +4,10 @@
    paper's evaluation section *is* its theorems; the experiment index
    lives in DESIGN.md §5 and the recorded outcomes in EXPERIMENTS.md).
 
-     dune exec bench/main.exe            # run everything (E1-E9 + timing)
+     dune exec bench/main.exe            # run everything (E1-E19)
      dune exec bench/main.exe -- e4      # run one experiment
-     dune exec bench/main.exe -- bechamel# timing series only *)
+
+   Wall-clock figures come from the separate benchmark in perfbench/. *)
 
 let experiments =
   [
@@ -29,13 +30,12 @@ let experiments =
     ("e17", E17_fuzz.run);
     ("e18", E18_observatory.run);
     ("e19", E19_flight.run);
-    ("bechamel", Timing.run);
   ]
 
 let usage () =
   prerr_endline
     "usage: main.exe [--csv DIR] [--json] [--json-dir DIR] [--smoke] \
-     [e1|...|e19|bechamel]...";
+     [e1|...|e19]...";
   exit 2
 
 let check_dir ~flag dir =

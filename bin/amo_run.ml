@@ -1274,7 +1274,7 @@ let report_cmd =
     apply_log_level log_level;
     (* obtain a provenance-rich `Full trace plus the run's identity:
        either a fault-plan replay or a plain KK run from the knobs *)
-    let run_name, nn, mm, bb, trace, plan_json, params, base_oracles =
+    let run_name, nn, mm, bb, trace, plan_json, params =
       match plan_file with
       | Some path -> (
           match Fault.Plan.load path with
@@ -1300,8 +1300,7 @@ let report_cmd =
                   ("m", string_of_int plan.Fault.Plan.m);
                   ("beta", string_of_int plan.Fault.Plan.beta);
                   ("seed", string_of_int plan.Fault.Plan.seed);
-                ],
-                Fault.Chaos.oracles_for plan ))
+                ] ))
       | None ->
           let beta = Option.value beta_opt ~default:m in
           let rng = Util.Prng.of_int seed in
@@ -1331,15 +1330,7 @@ let report_cmd =
               ("sched", sched_name);
               ("crashes", string_of_int f);
               ("seed", string_of_int seed);
-            ],
-            Analysis.Oracle.at_most_once
-            ::
-            (if beta >= m then
-               [
-                 Analysis.Oracle.recovery_effectiveness ~n ~m ~beta;
-                 Analysis.Oracle.quiescence ~m;
-               ]
-             else []) )
+            ] )
     in
     let ledger = Obs.Ledger.of_trace ~n:nn ~m:mm trace in
     let heatmap = Obs.Heatmap.of_trace trace in
@@ -1347,7 +1338,8 @@ let report_cmd =
        effectiveness/quiescence are gated on Lemma 4.3's termination
        condition (beta >= m), as in the chaos suite *)
     let oracles =
-      base_oracles @ [ Analysis.Oracle.ledger_agreement ~n:nn ~m:mm ~beta:bb ]
+      Analysis.Oracle.suite ~n:nn ~m:mm ~beta:bb
+      @ [ Analysis.Oracle.ledger_agreement ~n:nn ~m:mm ~beta:bb ]
     in
     let verdicts =
       List.map

@@ -1,32 +1,28 @@
-type violation = { oracle : string; detail : string }
+type violation = Obs.Monitor.violation = { oracle : string; detail : string }
 
 type t = { name : string; check : Shm.Trace.t -> violation list }
 
-let at_most_once =
-  let name = "at-most-once" in
+(* A predicate of Obs.Monitor, the one verdict engine, run over a fresh
+   monitor fed the whole trace.  An oracle that takes no [n] sizes the
+   monitor from the largest job the trace performs. *)
+let of_monitor ?n ~m ~beta (name, verdict) =
   let check trace =
-    (* every (job -> first pid) plus one violation per repeat; the
-       whole log is scanned so multiple bad jobs each get reported *)
-    let first = Hashtbl.create 64 in
-    List.fold_left
-      (fun acc (p, job) ->
-        match Hashtbl.find_opt first job with
-        | None ->
-            Hashtbl.add first job p;
-            acc
-        | Some q ->
-            {
-              oracle = name;
-              detail =
-                Printf.sprintf "job %d performed again by p%d (first by p%d)"
-                  job p q;
-            }
-            :: acc)
-      []
-      (Shm.Trace.do_events trace)
-    |> List.rev
+    let n =
+      match n with
+      | Some n -> n
+      | None ->
+          List.fold_left (fun acc (_, job) -> max acc job) 1
+            (Shm.Trace.do_events trace)
+    in
+    let mon = Obs.Monitor.create ~n ~m ~beta () in
+    Obs.Monitor.observe_trace mon trace;
+    verdict mon
   in
   { name; check }
+
+(* at-most-once reads neither m nor beta; pids only label performers *)
+let at_most_once =
+  of_monitor ~m:1 ~beta:1 ("at-most-once", Obs.Monitor.at_most_once)
 
 let effectiveness ~floor =
   let name = "effectiveness" in
@@ -49,80 +45,13 @@ let effectiveness ~floor =
 let kk_effectiveness ~n ~m ~beta = effectiveness ~floor:(n - (beta + m - 2))
 
 let recovery_effectiveness ~n ~m ~beta =
-  let name = "recovery-effectiveness" in
-  let base = n - (beta + m - 2) in
-  let check trace =
-    (* The effectiveness theorems presume at most m-1 processes fail
-       PERMANENTLY — some survivor remains to drain the work.  That is
-       a runtime property, not a static one: a plan whose every crash
-       is paired with a restart can still leave a process dead forever
-       when the restart step lies beyond the run's actual end (the
-       executor stops once no live pid remains, so pending restarts
-       never fire).  A pid is permanently dead iff its last lifecycle
-       event is a crash; when every pid ends that way there is no
-       survivor for the theorem to charge, and the floor is vacuous. *)
-    let dead = Array.make (m + 1) false in
-    List.iter
-      (fun { Shm.Trace.event; _ } ->
-        match event with
-        | Shm.Event.Crash { p } -> if p >= 1 && p <= m then dead.(p) <- true
-        | Shm.Event.Restart { p } | Shm.Event.Terminate { p } ->
-            if p >= 1 && p <= m then dead.(p) <- false
-        | _ -> ())
-      (Shm.Trace.entries trace);
-    let permanently_dead = ref 0 in
-    for p = 1 to m do
-      if dead.(p) then incr permanently_dead
-    done;
-    (* each restart may conservatively burn one job (the re-marked
-       announcement, see Core.Kk.restart), so the floor degrades by
-       one per observed restart *)
-    let restarts = List.length (Shm.Trace.restarts trace) in
-    let floor = max 0 (base - restarts) in
-    let count = Core.Spec.do_count (Shm.Trace.do_events trace) in
-    if !permanently_dead >= m || count >= floor then []
-    else
-      [
-        {
-          oracle = name;
-          detail =
-            Printf.sprintf
-              "%d distinct jobs performed, recovery floor is %d (base %d, %d \
-               restarts)"
-              count floor base restarts;
-        };
-      ]
-  in
-  { name; check }
+  of_monitor ~n ~m ~beta
+    ("recovery-effectiveness", Obs.Monitor.recovery_effectiveness)
 
-let quiescence ~m =
-  let name = "quiescence" in
-  let check trace =
-    (* a process is settled iff its LAST lifecycle event is a crash or
-       termination — a restart re-opens it *)
-    let settled = Array.make (m + 1) false in
-    List.iter
-      (fun { Shm.Trace.event; _ } ->
-        match event with
-        | Shm.Event.Crash { p } | Shm.Event.Terminate { p } ->
-            if p >= 1 && p <= m then settled.(p) <- true
-        | Shm.Event.Restart { p } ->
-            if p >= 1 && p <= m then settled.(p) <- false
-        | _ -> ())
-      (Shm.Trace.entries trace);
-    let missing = ref [] in
-    for p = m downto 1 do
-      if not settled.(p) then missing := p :: !missing
-    done;
-    List.map
-      (fun p ->
-        {
-          oracle = name;
-          detail = Printf.sprintf "p%d neither terminated nor crashed" p;
-        })
-      !missing
-  in
-  { name; check }
+let quiescence ~m = of_monitor ~m ~beta:m ("quiescence", Obs.Monitor.quiescence)
+
+let suite ~n ~m ~beta =
+  List.map (of_monitor ~n ~m ~beta) (Obs.Monitor.suite ~m ~beta)
 
 let ledger_agreement ~n ~m ~beta =
   let name = "ledger-agreement" in
@@ -180,7 +109,7 @@ let ledger_agreement ~n ~m ~beta =
 let check_all oracles trace =
   List.concat_map (fun o -> o.check trace) oracles
 
-let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.oracle v.detail
+let pp_violation = Obs.Monitor.pp_violation
 
 let assert_ok oracles trace =
   match check_all oracles trace with

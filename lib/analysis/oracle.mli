@@ -1,19 +1,24 @@
-(** Trace oracles: reusable correctness checkers over executions.
+(** Trace oracles: named, composable correctness checkers over
+    executions.
 
     The paper's claims are predicates over {e traces}: at-most-once
     safety (Definition 2.2/Lemma 4.1), the effectiveness floor
     [n − (β + m − 2)] (Theorem 4.4) and quiescence/wait-freedom
-    (Lemma 4.3).  This module packages each as a named, composable
-    checker consuming an [`Outcomes]-level {!Shm.Trace.t}, so the
-    model checker ({!Explore.check}), the stochastic benchmark
-    harness (E1/E10) and the unit tests all assert the {e same}
-    predicate instead of re-implementing ad-hoc variants.
+    (Lemma 4.3).  This module packages each as a checker consuming an
+    [`Outcomes]-level {!Shm.Trace.t}, so the model checker
+    ({!Explore.check}), the stochastic benchmark harness (E1/E10) and
+    the unit tests all assert the {e same} predicate.
+
+    {!at_most_once}, {!recovery_effectiveness}, {!quiescence} and
+    {!suite} are folds of a fresh {!Obs.Monitor} over the trace — the
+    monitor is their only implementation, shared with live runs and
+    [Fault.Chaos].
 
     An oracle never inspects algorithm state — observable behaviour
     only, exactly like {!Core.Spec} (which supplies the underlying
     measures). *)
 
-type violation = {
+type violation = Obs.Monitor.violation = {
   oracle : string;  (** name of the oracle that fired *)
   detail : string;  (** human-readable description of the breach *)
 }
@@ -25,8 +30,9 @@ type t = {
 }
 
 val at_most_once : t
-(** Fires once per job performed more than once (Definition 2.2),
-    naming the job and the first two performing processes. *)
+(** {!Obs.Monitor.at_most_once}: fires once per repeat [Do]
+    (Definition 2.2), naming the job, the repeating process and the
+    first performer. *)
 
 val effectiveness : floor:int -> t
 (** Fires when the number of {e distinct} jobs performed is below
@@ -36,17 +42,10 @@ val kk_effectiveness : n:int -> m:int -> beta:int -> t
 (** {!effectiveness} at Theorem 4.4's floor [n − (β + m − 2)]. *)
 
 val recovery_effectiveness : n:int -> m:int -> beta:int -> t
-(** The recovery-aware variant for crash-recovery executions: the
-    floor is [n − (β + m − 2) − r] where [r] is the number of
-    [Restart] events in the trace — each restart conservatively
-    forfeits at most one job (the re-marked pre-crash announcement,
-    see {!Core.Kk} and DESIGN.md §7).  Equivalent to
-    {!kk_effectiveness} on restart-free traces.  Vacuous (never fires)
-    when every process ends the run permanently crashed — its last
-    lifecycle event a [Crash] with no later [Restart] — because the
-    theorems presume at most [m − 1] permanent failures, and a
-    statically-valid plan can still strand a pending restart beyond
-    the run's end. *)
+(** {!Obs.Monitor.recovery_effectiveness}, the recovery-aware floor
+    [n − (β + m − 2) − r] for [r] [Restart] events; equivalent to
+    {!kk_effectiveness} on restart-free traces unless every process
+    ends permanently crashed, where it is vacuous. *)
 
 val ledger_agreement : n:int -> m:int -> beta:int -> t
 (** Ledger ↔ oracle reconciliation (DESIGN.md §8).  Rebuilds the
@@ -61,11 +60,15 @@ val ledger_agreement : n:int -> m:int -> beta:int -> t
     announce marks). *)
 
 val quiescence : m:int -> t
-(** Fires per process in [1..m] whose {e last} lifecycle event is
-    neither a termination nor a crash (a restart re-opens a crashed
-    process) — on an execution run to completion this is a
-    wait-freedom breach (Lemma 4.3).  Only meaningful on completed
-    executions. *)
+(** {!Obs.Monitor.quiescence}: fires per process in [1..m] whose last
+    lifecycle event is neither a termination nor a crash.  Only
+    meaningful on completed executions. *)
+
+val suite : n:int -> m:int -> beta:int -> t list
+(** {!Obs.Monitor.suite} as oracles: at-most-once always;
+    recovery-effectiveness and quiescence only when [β >= m]
+    (Lemma 4.3).  [check_all (suite ~n ~m ~beta)] renders exactly what
+    {!Obs.Monitor.finalize} does. *)
 
 val check_all : t list -> Shm.Trace.t -> violation list
 (** All violations, in oracle order. *)

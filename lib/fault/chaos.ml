@@ -17,22 +17,8 @@ type run_result = {
   trace : Shm.Trace.t;
 }
 
-(* At-most-once is unconditional (Lemma 4.1 needs no liveness).  The
-   effectiveness floor and quiescence are theorems about terminating
-   executions, and Lemma 4.3 guarantees termination only for
-   beta >= m — below that, a crash can legitimately wedge a job in
-   every survivor's TRY set forever, so those oracles would report
-   false positives. *)
 let oracles_for (plan : Plan.t) =
-  Analysis.Oracle.at_most_once
-  ::
-  (if plan.beta >= plan.m then
-     [
-       Analysis.Oracle.recovery_effectiveness ~n:plan.n ~m:plan.m
-         ~beta:plan.beta;
-       Analysis.Oracle.quiescence ~m:plan.m;
-     ]
-   else [])
+  Analysis.Oracle.suite ~n:plan.n ~m:plan.m ~beta:plan.beta
 
 let run_plan ?(provenance = true) ?trace_level ?probe ?state_probe ?monitor
     ?(fail_fast = false) ?max_steps (plan : Plan.t) =
@@ -90,13 +76,16 @@ let run_plan ?(provenance = true) ?trace_level ?probe ?state_probe ?monitor
       ~adversary handles
   in
   let trace = outcome.Shm.Executor.trace in
-  let dos = Shm.Trace.do_events trace in
+  (* the verdict and Do(α) from one fold of a fresh monitor: a caller's
+     [monitor] may have watched other runs *)
+  let verdict = Obs.Monitor.create ~n ~m ~beta () in
+  Obs.Monitor.observe_trace verdict trace;
   {
     plan;
     schedule = picks ();
-    violations = Analysis.Oracle.check_all (oracles_for plan) trace;
-    dos;
-    do_count = Core.Spec.do_count dos;
+    violations = Obs.Monitor.finalize verdict;
+    dos = Shm.Trace.do_events trace;
+    do_count = Obs.Monitor.distinct verdict;
     steps = outcome.Shm.Executor.steps;
     wait_free = outcome.Shm.Executor.reason = Shm.Executor.Quiescent;
     crashes = Shm.Trace.crashes trace;
@@ -308,42 +297,32 @@ let run_net_plan ?(servers = 3) (plan : Plan.t) =
       ~registers:(Msg.Kk_mp.register_count ~n ~m)
       ~rng ~client_bodies:bodies ()
   in
-  let violations = ref [] in
-  let add oracle detail =
-    violations := { Analysis.Oracle.oracle; detail } :: !violations
-  in
-  (* at-most-once holds under every network fault, loss included *)
-  let seen = Hashtbl.create 16 in
+  (* The monitor judges the client log: a completed client terminated,
+     a crashed one crashed, a stuck one neither. *)
+  let mon = Obs.Monitor.create ~n ~m ~beta () in
   List.iter
-    (fun (p, j) ->
-      match Hashtbl.find_opt seen j with
-      | Some p0 ->
-          add "at-most-once"
-            (Printf.sprintf "job %d performed by p%d and again by p%d" j p0 p)
-      | None -> Hashtbl.add seen j p)
+    (fun (p, job) -> Obs.Monitor.observe mon (Shm.Event.Do { p; job }))
     outcome.Msg.Abd.dos;
-  (* liveness and effectiveness only promised without message loss:
-     every non-Drop window heals, so all clients must complete and
-     (with zero client crashes) the Theorem 4.4 floor must hold *)
-  if not (Plan.lossy plan) then begin
-    List.iter
-      (fun c -> add "quiescence" (Printf.sprintf "client %d stuck" c))
-      outcome.Msg.Abd.stuck;
-    (* the floor needs Lemma 4.3's termination condition, as in
-       [oracles_for] *)
-    if beta >= m then begin
-      let distinct = Hashtbl.length seen in
-      let floor = max 0 (n - (beta + m - 2)) in
-      if distinct < floor then
-        add "recovery-effectiveness"
-          (Printf.sprintf "%d distinct jobs < floor %d" distinct floor)
-    end
-  end;
+  List.iter
+    (fun p -> Obs.Monitor.observe mon (Shm.Event.Terminate { p }))
+    outcome.Msg.Abd.completed;
+  List.iter
+    (fun p -> Obs.Monitor.observe mon (Shm.Event.Crash { p }))
+    outcome.Msg.Abd.crashed_clients;
+  (* At-most-once holds under every network fault, loss included.
+     Liveness is only promised without message loss (every non-Drop
+     window heals, so all clients must complete), and the floor needs
+     Lemma 4.3's termination condition as well, as in [oracles_for]. *)
+  let violations =
+    if Plan.lossy plan then Obs.Monitor.at_most_once mon
+    else if beta >= m then Obs.Monitor.finalize mon
+    else Obs.Monitor.at_most_once mon @ Obs.Monitor.quiescence mon
+  in
   {
     plan;
     dos = outcome.Msg.Abd.dos;
     completed = outcome.Msg.Abd.completed;
     stuck = outcome.Msg.Abd.stuck;
     deliveries = outcome.Msg.Abd.deliveries;
-    violations = List.rev !violations;
+    violations;
   }

@@ -22,12 +22,13 @@ type run_result = {
 }
 
 val oracles_for : Plan.t -> Analysis.Oracle.t list
-(** The chaos oracle suite for a shared-memory plan: at-most-once
-    always; recovery-aware effectiveness (floor
+(** [Analysis.Oracle.suite] at the plan's [n], [m] and [beta]:
+    at-most-once always; recovery-aware effectiveness (floor
     [n - (beta + m - 2) - r] for [r] restarts) and quiescence only
     when [beta >= m], Lemma 4.3's termination condition — below it a
     crash may legitimately wedge a job in every survivor's TRY set,
-    so the execution need not quiesce. *)
+    so the execution need not quiesce.  {!run_plan}'s [violations]
+    are this suite's verdicts, taken from one {!Obs.Monitor} fold. *)
 
 val run_plan :
   ?provenance:bool ->
@@ -159,9 +160,12 @@ type net_result = {
 
 val run_net_plan : ?servers:int -> Plan.t -> net_result
 (** Execute a message-passing plan: KKβ clients over ABD-emulated
-    registers with the plan's fault windows driving delivery.
-    At-most-once is checked unconditionally; the no-stuck-client and
-    effectiveness-floor oracles apply only to loss-free plans (a
-    [Drop] window may legitimately strand a client — the emulation has
-    no retransmission).
+    registers with the plan's fault windows driving delivery.  The
+    do-log and the completed/crashed clients are fed to an
+    {!Obs.Monitor}, so the verdicts share its wording.  At-most-once
+    is checked unconditionally; quiescence (every client ends completed
+    or crashed) and the effectiveness floor apply only to
+    loss-free plans (a [Drop] window may legitimately strand a client
+    — the emulation has no retransmission), and the floor only when
+    [beta >= m].
     @raise Invalid_argument on an invalid or shared-memory plan. *)

@@ -65,19 +65,16 @@ let sink_probe sink =
         Sink.emit sink (record_of_event ~step ~phase ev))
 
 let monitor_probe ?(fail_fast = false) monitor =
-  Shm.Probe.make ~needs_phase:false (fun ~step ~phase:_ ev ->
+  Shm.Probe.make ~needs_phase:false (fun ~step:_ ~phase:_ ev ->
       match ev with
       | Shm.Event.Read _ | Shm.Event.Write _ | Shm.Event.Internal _
       | Shm.Event.Pick _ ->
           (* pre-filter the hot path: none of these can change a
              verdict (the monitor ignores them), so the per-event cost
-             on a tight [`Silent] run stays one branch.  Consequence:
-             a probe-fed monitor counts only lifecycle events in
-             [Monitor.event_count]/[last_step], unlike
-             [Monitor.observe_trace] — verdicts are unaffected. *)
+             on a tight [`Silent] run stays one branch *)
           ()
       | ev -> (
-          Monitor.observe monitor ~step ev;
+          Monitor.observe monitor ev;
           if fail_fast then
             match ev with
             | Shm.Event.Do _ -> (

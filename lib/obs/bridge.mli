@@ -1,5 +1,7 @@
 (** Connect {!Shm.Probe} (the executor's observer seam) to obs
-    consumers. *)
+    consumers: sinks, sketches, profiles, and the verdict engine
+    {!Monitor} — {!monitor_probe} is how a live run is judged by the
+    same predicates a finished trace is. *)
 
 val record_of_event : step:int -> ?phase:string -> Shm.Event.t -> Sink.record
 (** The canonical event-to-record rendering used by {!sink_probe} (and
@@ -19,9 +21,7 @@ val monitor_probe : ?fail_fast:bool -> Monitor.t -> Shm.Probe.t
 (** A probe feeding the executor's events into an online {!Monitor}.
     Verdict-irrelevant events (reads, writes, internals, picks) are
     filtered out before the monitor call, so the hot-path cost is one
-    branch — the monitor's [event_count]/[last_step] therefore count
-    only lifecycle events, unlike {!Monitor.observe_trace}; verdicts
-    are identical either way.  With [~fail_fast:true] it raises
+    branch.  With [~fail_fast:true] it raises
     {!Monitor.Tripped} out of the executor the moment a repeat [Do]
     streams past — the at-most-once oracle firing mid-run instead of
     at run end.  Default [false]: observe only, never raise. *)

@@ -1,16 +1,14 @@
-(* Online oracle monitor: the streaming counterpart of
-   Analysis.Oracle, fed one event at a time through the executor's
-   probe seam instead of a finished trace.
+(* The verdict engine: the one implementation of the paper's trace
+   predicates, fed one event at a time — through the executor's probe
+   seam while a run is live, or over a finished trace
+   (Analysis.Oracle's checkers are folds of a fresh monitor).
 
-   Layering note: obs sits below analysis and core, so the oracle
-   verdicts are replicated here rather than imported — the at-most-once
-   scan, the recovery-aware effectiveness floor max 0 (n-(β+m-2)-r),
-   and the quiescence check, with each violation's detail string kept
-   byte-identical to Analysis.Oracle's (pinned by test_telemetry and
-   bench E16).  Recovery-effectiveness and quiescence only apply when
-   β >= m (Lemma 4.3: termination is only guaranteed when a process
-   may forfeit at most β >= m candidates), mirroring
-   Fault.Chaos.oracles_for.
+   The predicates are at-most-once (reported the moment the repeat Do
+   streams past), the recovery-aware effectiveness floor
+   max 0 (n-(β+m-2)-r), and quiescence.  Effectiveness and quiescence
+   only belong in the suite when β >= m (Lemma 4.3: termination is
+   only guaranteed when a process may forfeit at most β >= m
+   candidates); [suite] is where that gate is written.
 
    Job-fate counts follow Obs.Ledger's precedence (dos beat recovers;
    lost-to-crash is a property of the final crash state) so a finished
@@ -28,16 +26,18 @@ type fates = {
   forfeited : int;
 }
 
+(* A process's last lifecycle event: a restart re-opens a crashed
+   process. *)
+type life = Running | Crashed | Terminated
+
 type t = {
   n : int;
   m : int;
   beta : int;
-  gated : bool; (* beta >= m: floor + quiescence oracles active *)
   (* First performer per job, 0 = not yet performed.  An int array
      (not a hashtable) keeps the per-Do path allocation-free — the
      executor's pids are >= 1, so 0 is unambiguous.  Jobs outside
-     [1..n] (possible in a buggy run; the oracle tracks them too) go
-     to the fallback table. *)
+     [1..n] (possible in a buggy run) go to the fallback table. *)
   first : int array;
   first_oob : (int, int) Hashtbl.t;
   mutable distinct : int; (* distinct jobs performed, Do(α) *)
@@ -45,14 +45,9 @@ type t = {
   do_counts : int array; (* per in-range job *)
   recovers : bool array;
   announced : int array; (* per process: current candidate, 0 = none *)
-  crashed : bool array;
-  settled : bool array;
-  mutable dos : int;
-  mutable crashes : int;
+  crashed : bool array; (* Ledger's crash state: only a restart clears it *)
+  life : life array;
   mutable restarts : int;
-  mutable terminations : int;
-  mutable last_step : int;
-  mutable events : int;
 }
 
 let create ~n ~m ~beta () =
@@ -62,7 +57,6 @@ let create ~n ~m ~beta () =
     n;
     m;
     beta;
-    gated = beta >= m;
     first = Array.make (n + 1) 0;
     first_oob = Hashtbl.create 8;
     distinct = 0;
@@ -71,13 +65,8 @@ let create ~n ~m ~beta () =
     recovers = Array.make (n + 1) false;
     announced = Array.make (m + 1) 0;
     crashed = Array.make (m + 1) false;
-    settled = Array.make (m + 1) false;
-    dos = 0;
-    crashes = 0;
+    life = Array.make (m + 1) Running;
     restarts = 0;
-    terminations = 0;
-    last_step = 0;
-    events = 0;
   }
 
 let in_job t j = j >= 1 && j <= t.n
@@ -86,14 +75,10 @@ let in_proc t p = p >= 1 && p <= t.m
 let clear_candidate t p job =
   if in_proc t p && t.announced.(p) = job then t.announced.(p) <- 0
 
-let observe t ~step event =
-  t.events <- t.events + 1;
-  if step > t.last_step then t.last_step <- step;
+let observe t event =
   match event with
   | Shm.Event.Do { p; job } ->
-      t.dos <- t.dos + 1;
-      (* streaming at-most-once: same scan as Analysis.Oracle — the
-         first performer is remembered, never displaced, and every
+      (* the first performer is remembered, never displaced, and every
          repeat yields one violation, in event order *)
       let q =
         if in_job t job then t.first.(job)
@@ -119,20 +104,17 @@ let observe t ~step event =
         t.do_counts.(job) <- t.do_counts.(job) + 1;
       clear_candidate t p job
   | Shm.Event.Crash { p } ->
-      t.crashes <- t.crashes + 1;
       if in_proc t p then begin
-        t.settled.(p) <- true;
-        t.crashed.(p) <- true
+        t.crashed.(p) <- true;
+        t.life.(p) <- Crashed
       end
   | Shm.Event.Restart { p } ->
       t.restarts <- t.restarts + 1;
       if in_proc t p then begin
-        t.settled.(p) <- false;
-        t.crashed.(p) <- false
+        t.crashed.(p) <- false;
+        t.life.(p) <- Running
       end
-  | Shm.Event.Terminate { p } ->
-      t.terminations <- t.terminations + 1;
-      if in_proc t p then t.settled.(p) <- true
+  | Shm.Event.Terminate { p } -> if in_proc t p then t.life.(p) <- Terminated
   | Shm.Event.Announce { p; job } -> if in_proc t p then t.announced.(p) <- job
   | Shm.Event.Forfeit { p; job; _ } -> clear_candidate t p job
   | Shm.Event.Recover { p; job } ->
@@ -143,24 +125,67 @@ let observe t ~step event =
       ()
 
 let observe_trace t trace =
-  List.iter
-    (fun { Shm.Trace.step; event } -> observe t ~step event)
+  List.iter (fun { Shm.Trace.event; _ } -> observe t event)
     (Shm.Trace.entries trace)
 
-let streaming t = List.rev t.stream_rev
+let at_most_once t = List.rev t.stream_rev
 let tripped t = match List.rev t.stream_rev with [] -> None | v :: _ -> Some v
-
 let distinct t = t.distinct
-let do_events t = t.dos
-let crash_count t = t.crashes
-let restart_count t = t.restarts
-let termination_count t = t.terminations
-let last_step t = t.last_step
-let event_count t = t.events
 
-let floor t =
-  if not t.gated then 0
-  else max 0 (t.n - (t.beta + t.m - 2) - t.restarts)
+(* The theorems presume at most m-1 processes fail PERMANENTLY — some
+   survivor remains to drain the work.  That is a runtime property,
+   not a static one: a plan whose every crash is paired with a restart
+   can still leave a process dead forever when the restart step lies
+   beyond the run's actual end (the executor stops once no live pid
+   remains, so pending restarts never fire).  When every process ends
+   crashed there is no survivor for the theorem to charge, and the
+   floor is vacuous.  Each restart may conservatively burn one job
+   (the re-marked announcement, see Core.Kk.restart), so the floor
+   degrades by one per observed restart. *)
+let recovery_effectiveness t =
+  let all_crashed = ref true in
+  for p = 1 to t.m do
+    if t.life.(p) <> Crashed then all_crashed := false
+  done;
+  let base = t.n - (t.beta + t.m - 2) in
+  let floor = max 0 (base - t.restarts) in
+  if !all_crashed || t.distinct >= floor then []
+  else
+    [
+      {
+        oracle = "recovery-effectiveness";
+        detail =
+          Printf.sprintf
+            "%d distinct jobs performed, recovery floor is %d (base %d, %d \
+             restarts)"
+            t.distinct floor base t.restarts;
+      };
+    ]
+
+let quiescence t =
+  List.filter_map
+    (fun p ->
+      if t.life.(p) <> Running then None
+      else
+        Some
+          {
+            oracle = "quiescence";
+            detail = Printf.sprintf "p%d neither terminated nor crashed" p;
+          })
+    (List.init t.m (fun i -> i + 1))
+
+let suite ~m ~beta =
+  ("at-most-once", at_most_once)
+  ::
+  (if beta >= m then
+     [
+       ("recovery-effectiveness", recovery_effectiveness);
+       ("quiescence", quiescence);
+     ]
+   else [])
+
+let finalize t =
+  List.concat_map (fun (_, check) -> check t) (suite ~m:t.m ~beta:t.beta)
 
 let fates t =
   let performed = ref 0 and doubly = ref 0 and recovered = ref 0 in
@@ -191,77 +216,4 @@ let fates t =
     forfeited = t.n - !performed - !doubly - !recovered - !lost;
   }
 
-let finalize t =
-  let stream = List.rev t.stream_rev in
-  if not t.gated then stream
-  else begin
-    let effectiveness =
-      let base = t.n - (t.beta + t.m - 2) in
-      let fl = max 0 (base - t.restarts) in
-      let count = distinct t in
-      if count >= fl then []
-      else
-        [
-          {
-            oracle = "recovery-effectiveness";
-            detail =
-              Printf.sprintf
-                "%d distinct jobs performed, recovery floor is %d (base %d, %d \
-                 restarts)"
-                count fl base t.restarts;
-          };
-        ]
-    in
-    let quiescence =
-      let missing = ref [] in
-      for p = t.m downto 1 do
-        if not t.settled.(p) then missing := p :: !missing
-      done;
-      List.map
-        (fun p ->
-          {
-            oracle = "quiescence";
-            detail = Printf.sprintf "p%d neither terminated nor crashed" p;
-          })
-        !missing
-    in
-    stream @ effectiveness @ quiescence
-  end
-
 let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.oracle v.detail
-
-let to_json t =
-  let f = fates t in
-  Json.Obj
-    [
-      ("n", Json.Int t.n);
-      ("m", Json.Int t.m);
-      ("beta", Json.Int t.beta);
-      ("events", Json.Int t.events);
-      ("dos", Json.Int t.dos);
-      ("distinct", Json.Int (distinct t));
-      ("floor", Json.Int (floor t));
-      ("crashes", Json.Int t.crashes);
-      ("restarts", Json.Int t.restarts);
-      ("terminations", Json.Int t.terminations);
-      ("last_step", Json.Int t.last_step);
-      ( "fates",
-        Json.Obj
-          [
-            ("performed", Json.Int f.performed);
-            ("doubly_performed", Json.Int f.doubly);
-            ("recovered", Json.Int f.recovered);
-            ("lost_crash", Json.Int f.lost);
-            ("forfeited", Json.Int f.forfeited);
-          ] );
-      ( "violations",
-        Json.List
-          (List.map
-             (fun v ->
-               Json.Obj
-                 [
-                   ("oracle", Json.String v.oracle);
-                   ("detail", Json.String v.detail);
-                 ])
-             (finalize t)) );
-    ]

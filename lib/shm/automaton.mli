@@ -22,7 +22,7 @@ type handle = {
           called when [alive () = false]. *)
   alive : unit -> bool;
       (** [true] while the process has enabled actions — i.e. it has
-          neither terminated nor crashed. *)
+          not terminated and not crashed. *)
   crash : unit -> unit;
       (** The adversary's [stop] action: after this, [alive] is
           [false] and no further actions occur.  Idempotent. *)

@@ -580,6 +580,77 @@ let test_ledger_agreement_oracle () =
        r.Fault.Chaos.trace
     <> [])
 
+(* ---- verdict detail strings ---- *)
+
+(* The exact "[oracle] detail" bytes of each predicate, on hand-built
+   traces: the golden HTML report and the *.explain.txt goldens embed
+   them.  Each trace is judged by the monitor's gated verdict (β = m)
+   and by the three trace oracles, which must render the same lines. *)
+let test_verdict_details () =
+  let open Shm.Event in
+  let cases =
+    [
+      ( "repeated Do",
+        3,
+        2,
+        [
+          Do { p = 1; job = 2 }; Do { p = 2; job = 2 }; Do { p = 1; job = 2 };
+          Terminate { p = 1 }; Terminate { p = 2 };
+        ],
+        [
+          "[at-most-once] job 2 performed again by p2 (first by p1)";
+          "[at-most-once] job 2 performed again by p1 (first by p1)";
+        ] );
+      ( "job above n, pid above m",
+        3,
+        2,
+        [
+          Do { p = 5; job = 9 }; Do { p = 1; job = 9 }; Do { p = 2; job = 1 };
+          Terminate { p = 1 }; Terminate { p = 2 };
+        ],
+        [ "[at-most-once] job 9 performed again by p1 (first by p5)" ] );
+      ( "floor breach, 2 restarts",
+        10,
+        2,
+        [
+          Do { p = 1; job = 1 }; Crash { p = 1 }; Restart { p = 1 };
+          Crash { p = 2 }; Restart { p = 2 }; Do { p = 2; job = 3 };
+          Terminate { p = 1 }; Terminate { p = 2 };
+        ],
+        [
+          "[recovery-effectiveness] 2 distinct jobs performed, recovery floor \
+           is 6 (base 8, 2 restarts)";
+        ] );
+      ( "one unsettled process",
+        3,
+        3,
+        [
+          Do { p = 1; job = 1 }; Terminate { p = 1 }; Crash { p = 2 };
+          Crash { p = 3 }; Restart { p = 3 };
+        ],
+        [ "[quiescence] p3 neither terminated nor crashed" ] );
+    ]
+  in
+  List.iter
+    (fun (name, n, m, events, want) ->
+      let trace = Shm.Trace.create `Outcomes in
+      List.iteri (fun step e -> Shm.Trace.record trace ~step e) events;
+      let render pp vs = List.map (Format.asprintf "%a" pp) vs in
+      let mon = Obs.Monitor.create ~n ~m ~beta:m () in
+      Obs.Monitor.observe_trace mon trace;
+      Alcotest.(check (list string)) (name ^ ": monitor") want
+        (render Obs.Monitor.pp_violation (Obs.Monitor.finalize mon));
+      Alcotest.(check (list string)) (name ^ ": oracles") want
+        (render Analysis.Oracle.pp_violation
+           (Analysis.Oracle.check_all
+              [
+                Analysis.Oracle.at_most_once;
+                Analysis.Oracle.recovery_effectiveness ~n ~m ~beta:m;
+                Analysis.Oracle.quiescence ~m;
+              ]
+              trace)))
+    cases
+
 (* ---- sinks under real domains (satellite c) ---- *)
 
 let test_tee_ordering () =
@@ -872,6 +943,7 @@ let suite =
     Alcotest.test_case "heatmap aggregation" `Quick test_heatmap_aggregation;
     Alcotest.test_case "ledger-agreement oracle" `Quick
       test_ledger_agreement_oracle;
+    Alcotest.test_case "verdict detail strings" `Quick test_verdict_details;
     Alcotest.test_case "tee ordering" `Quick test_tee_ordering;
     Alcotest.test_case "locked sink under domains" `Quick
       test_locked_sink_multicore;

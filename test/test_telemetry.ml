@@ -214,14 +214,7 @@ let sketch_k1_prop =
 
 (* ---- streaming monitor ---- *)
 
-let render_oracle vs =
-  List.map
-    (fun (v : Analysis.Oracle.violation) ->
-      Format.asprintf "%a" Analysis.Oracle.pp_violation v)
-    vs
-
-let render_monitor vs =
-  List.map (fun v -> Format.asprintf "%a" M.pp_violation v) vs
+let render vs = List.map (fun v -> Format.asprintf "%a" M.pp_violation v) vs
 
 let monitor_of_trace ~n ~m ~beta trace =
   let mon = M.create ~n ~m ~beta () in
@@ -242,8 +235,8 @@ let test_monitor_agrees_on_goldens () =
             monitor_of_trace ~n:plan.P.n ~m:plan.P.m ~beta:plan.P.beta
               r.C.trace
           in
-          let got = render_monitor (M.finalize mon) in
-          let want = render_oracle r.C.violations in
+          let got = render (M.finalize mon) in
+          let want = render r.C.violations in
           Alcotest.(check bool) (file ^ " fires") true (want <> []);
           Alcotest.(check (list string)) (file ^ " byte-identical") want got)
     [ "chaos_skip_check.plan.json"; "chaos_skip_recovery_mark.plan.json" ]
@@ -263,16 +256,29 @@ let test_monitor_agrees_on_random_plans () =
     let mon = monitor_of_trace ~n:10 ~m:3 ~beta r.C.trace in
     Alcotest.(check (list string))
       (Printf.sprintf "plan %d (beta=%d)" i beta)
-      (render_oracle r.C.violations)
-      (render_monitor (M.finalize mon))
-  done
+      (render r.C.violations)
+      (render (M.finalize mon))
+  done;
+  (* Every process ends permanently crashed: no survivor remains for
+     the floor to charge, so it is vacuous on both sides. *)
+  let all_crashed = Shm.Trace.create `Outcomes in
+  List.iteri
+    (fun step e -> Shm.Trace.record all_crashed ~step e)
+    [ Shm.Event.Do { p = 1; job = 1 }; Crash { p = 1 }; Crash { p = 2 } ];
+  Alcotest.(check (list string)) "all crashed: oracle" []
+    (render
+       (Analysis.Oracle.check_all
+          (Analysis.Oracle.suite ~n:10 ~m:2 ~beta:2)
+          all_crashed));
+  Alcotest.(check (list string)) "all crashed: monitor" []
+    (render (M.finalize (monitor_of_trace ~n:10 ~m:2 ~beta:2 all_crashed)))
 
 let test_monitor_streaming_trip () =
   let mon = M.create ~n:4 ~m:2 ~beta:2 () in
   Alcotest.(check (option reject)) "clean" None (M.tripped mon);
-  M.observe mon ~step:1 (Shm.Event.Do { p = 1; job = 3 });
-  M.observe mon ~step:2 (Shm.Event.Do { p = 2; job = 3 });
-  M.observe mon ~step:3 (Shm.Event.Do { p = 1; job = 3 });
+  M.observe mon (Shm.Event.Do { p = 1; job = 3 });
+  M.observe mon (Shm.Event.Do { p = 2; job = 3 });
+  M.observe mon (Shm.Event.Do { p = 1; job = 3 });
   (match M.tripped mon with
   | None -> Alcotest.fail "should have tripped"
   | Some v ->
@@ -280,7 +286,7 @@ let test_monitor_streaming_trip () =
       Alcotest.(check string) "first repeat, first performer"
         "job 3 performed again by p2 (first by p1)" v.M.detail);
   Alcotest.(check int) "two violations streamed" 2
-    (List.length (M.streaming mon));
+    (List.length (M.at_most_once mon));
   Alcotest.(check int) "distinct counts jobs once" 1 (M.distinct mon)
 
 (* Monitor fates must agree with the post-hoc ledger on recovery
