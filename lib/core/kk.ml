@@ -7,8 +7,6 @@ module type S = Kk_intf.S
 module Make (Set : Set_intf.S) = struct
   type set = Set.t
 
-  module P = Policy.Make (Set)
-
 type shared = {
   next : Memory.vector;
   done_m : Memory.matrix;
@@ -86,18 +84,16 @@ type t = {
   verbose : bool;
   provenance : bool;
   blame : bool; (* populate try_owner/done_owner (collision or provenance) *)
-  initial_free : Set.t;
   mutable status : status;
-  mutable free : Set.t;
-  (* No DONE field: in Fig. 2 a job enters DONE exactly when it leaves
-     FREE, so DONE = initial_free \ free, and a candidate drawn from
-     FREE is outside DONE iff it is still in FREE. *)
-  mutable tries : Set.t;
+  sets : Freeset.t;
+  (* FREE and TRY.  No DONE set: in Fig. 2 a job enters DONE exactly
+     when it leaves FREE, so DONE = initial FREE \ FREE, and a
+     candidate drawn from FREE is outside DONE iff it is still in
+     FREE. *)
   pos : int array; (* pos.(q), 1-based, next cell of row q to read/write *)
   mutable next_j : int;
   mutable q : int;
   mutable finalizing : bool; (* IterStepKK termination re-gather in progress *)
-  mutable output : Set.t option;
   mutable n_done : int;
   mutable n_collisions : int;
   mutable rec_suspect : int;
@@ -144,15 +140,13 @@ let create ~shared ~pid ~beta ~policy ~free ?collision
     verbose;
     provenance;
     blame = Option.is_some collision || provenance;
-    initial_free = free;
     status = Comp_next;
-    free;
-    tries = Set.empty;
+    (* the caller's set is converted, not kept: FREE lives in [sets] *)
+    sets = Freeset.of_set (module Set) free;
     pos = Array.make (shared.sh_m + 1) 1;
     next_j = 0;
     q = 1;
     finalizing = false;
-    output = None;
     n_done = 0;
     n_collisions = 0;
     rec_suspect = 0;
@@ -206,29 +200,23 @@ let flag_event t ~write flag value =
    from shared memory, then produce the output set. *)
 let enter_final_gather t =
   t.finalizing <- true;
-  t.tries <- Set.empty;
+  Freeset.try_clear t.sets;
   Hashtbl.reset t.try_owner;
   t.q <- 1;
   t.status <- Gather_try
 
-let finish_iter_step t keep_try =
-  let out =
-    if keep_try then t.free
-    else Set.fold (fun x acc -> Set.remove x acc) t.tries t.free
-  in
-  t.output <- Some out;
+let finish_iter_step t =
   t.status <- End;
   [ Event.Terminate { p = t.pid } ]
 
 let step_comp_next t =
   Metrics.on_internal (metrics t) ~p:t.pid;
   Metrics.add_work (metrics t) ~p:t.pid
-    (Policy.work_cost ~try_cardinal:(Set.cardinal t.tries)
+    (Policy.work_cost ~try_cardinal:(Freeset.try_cardinal t.sets)
        ~log_n:t.shared.log_unit);
-  let avail = Set.diff_cardinal t.free t.tries in
+  let avail = Freeset.diff_cardinal t.sets in
   if avail >= t.beta then begin
-    t.next_j <-
-      P.choose t.policy ~p:t.pid ~m:(m t) ~free:t.free ~try_set:t.tries;
+    t.next_j <- Policy.choose t.policy ~p:t.pid ~m:(m t) t.sets;
     let pick =
       if t.provenance then
         [
@@ -236,13 +224,13 @@ let step_comp_next t =
             {
               p = t.pid;
               job = t.next_j;
-              free_card = Set.cardinal t.free;
-              try_card = Set.cardinal t.tries;
+              free_card = Freeset.cardinal t.sets;
+              try_card = Freeset.try_cardinal t.sets;
             };
         ]
       else []
     in
-    t.tries <- Set.empty;
+    Freeset.try_clear t.sets;
     Hashtbl.reset t.try_owner;
     t.q <- 1;
     t.status <- Set_next;
@@ -278,7 +266,7 @@ let step_gather_try t =
     if t.q <> t.pid then begin
       let v = Memory.vget t.shared.next ~p:t.pid t.q in
       if v > 0 then begin
-        t.tries <- Set.add v t.tries;
+        Freeset.try_add v t.sets;
         if t.blame then Hashtbl.replace t.try_owner v t.q;
         Metrics.add_work (metrics t) ~p:t.pid t.shared.log_unit
       end;
@@ -303,7 +291,7 @@ let step_gather_done t =
       let v = Memory.mget t.shared.done_m ~p:t.pid t.q c in
       let ev = done_event t ~write:false ~row:t.q ~col:c v in
       if v > 0 then begin
-        t.free <- Set.remove v t.free;
+        Freeset.remove v t.sets;
         if t.blame && not (Hashtbl.mem t.done_owner v) then
           Hashtbl.add t.done_owner v t.q;
         t.pos.(t.q) <- c + 1;
@@ -320,14 +308,7 @@ let step_gather_done t =
   in
   if t.q > m t then begin
     t.q <- 1;
-    if t.finalizing then begin
-      let keep_try =
-        match t.mode with
-        | Iter_step { keep_try } -> keep_try
-        | Standalone -> assert false
-      in
-      ev @ finish_iter_step t keep_try
-    end
+    if t.finalizing then ev @ finish_iter_step t
     else begin
       t.status <- Check;
       ev
@@ -343,7 +324,8 @@ let record_collision t =
       (* Definition 5.2: a TRY hit is attributed first; a DONE hit is a
          collision only when the job is not in TRY. *)
       let blame =
-        if Set.mem t.next_j t.tries then Hashtbl.find_opt t.try_owner t.next_j
+        if Freeset.try_mem t.next_j t.sets then
+          Hashtbl.find_opt t.try_owner t.next_j
         else Hashtbl.find_opt t.done_owner t.next_j
       in
       (match blame with
@@ -355,7 +337,8 @@ let step_check t =
   Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
   let safe =
     t.mutant_skip_check
-    || ((not (Set.mem t.next_j t.tries)) && Set.mem t.next_j t.free)
+    || (not (Freeset.try_mem t.next_j t.sets))
+       && Freeset.mem t.next_j t.sets
   in
   if safe then begin
     (match t.mode with
@@ -368,7 +351,7 @@ let step_check t =
     let forfeit =
       if t.provenance then
         let hit, owner =
-          if Set.mem t.next_j t.tries then
+          if Freeset.try_mem t.next_j t.sets then
             ("try", Option.value ~default:0 (Hashtbl.find_opt t.try_owner t.next_j))
           else
             ("done", Option.value ~default:0 (Hashtbl.find_opt t.done_owner t.next_j))
@@ -399,7 +382,7 @@ let step_done_write t =
   assert (c <= cols t);
   Memory.mset t.shared.done_m ~p:t.pid t.pid c t.next_j;
   let ev = done_event t ~write:true ~row:t.pid ~col:c t.next_j in
-  t.free <- Set.remove t.next_j t.free;
+  Freeset.remove t.next_j t.sets;
   t.pos.(t.pid) <- c + 1;
   Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
   t.status <- Comp_next;
@@ -438,7 +421,7 @@ let step_rec_scan t =
     let v = Memory.mget t.shared.done_m ~p:t.pid t.pid c in
     let ev = done_event t ~write:false ~row:t.pid ~col:c v in
     if v > 0 then begin
-      t.free <- Set.remove v t.free;
+      Freeset.remove v t.sets;
       t.pos.(t.pid) <- c + 1;
       Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit)
     end
@@ -454,7 +437,7 @@ let step_rec_scan t =
 let step_rec_next t =
   let v = Memory.vget t.shared.next ~p:t.pid t.pid in
   let ev = next_event t ~write:false t.pid v in
-  if v > 0 && Set.mem v t.free then begin
+  if v > 0 && Freeset.mem v t.sets then begin
     t.rec_suspect <- v;
     t.status <- Rec_mark
   end
@@ -478,7 +461,7 @@ let step_rec_mark t =
       if t.provenance then [ Event.Recover { p = t.pid; job = t.rec_suspect } ]
       else []
     in
-    t.free <- Set.remove t.rec_suspect t.free;
+    Freeset.remove t.rec_suspect t.sets;
     t.pos.(t.pid) <- c + 1;
     Metrics.add_work (metrics t) ~p:t.pid (2 * t.shared.log_unit);
     t.rec_suspect <- 0;
@@ -489,15 +472,13 @@ let step_rec_mark t =
 let restart t =
   if t.status <> Stop then false
   else begin
-    t.free <- t.initial_free;
-    t.tries <- Set.empty;
+    Freeset.reset t.sets;
     Hashtbl.reset t.try_owner;
     Hashtbl.reset t.done_owner;
     Array.fill t.pos 0 (Array.length t.pos) 1;
     t.next_j <- 0;
     t.q <- 1;
     t.finalizing <- false;
-    t.output <- None;
     t.rec_suspect <- 0;
     t.n_restarts <- t.n_restarts + 1;
     t.status <- Rec_scan;
@@ -572,16 +553,14 @@ let status_code = function
   | End -> 12
   | Stop -> 13
 
-let hash_set s =
-  Set.fold (fun x acc -> Util.Mix.combine acc x) s (Set.cardinal s)
-
 (* Everything the process's future behavior can depend on: control
    status and local sets/cursors, plus the content hashes of the
    shared structures it reads.  Counters that only feed metrics
    accessors (n_done, n_collisions, n_restarts) are excluded — they
    never influence a step — and DONE needs no hash: FREE determines
-   it.  Blame tables are hashed commutatively because Hashtbl
-   iteration order depends on insertion history. *)
+   it.  FREE's hash is kept up to date by every remove, so the whole
+   fingerprint costs O(m).  Blame tables are hashed commutatively
+   because Hashtbl iteration order depends on insertion history. *)
 let fingerprint t =
   let open Util.Mix in
   let h = combine (int 0x4B4B) (status_code t.status) in
@@ -589,8 +568,10 @@ let fingerprint t =
   let h = combine h t.q in
   let h = bool h t.finalizing in
   let h = combine h t.rec_suspect in
-  let h = combine h (hash_set t.free) in
-  let h = combine h (hash_set t.tries) in
+  let h =
+    combine h (combine (Freeset.cardinal t.sets) (Freeset.hash t.sets))
+  in
+  let h = combine h (Freeset.try_hash t.sets) in
   let h = Array.fold_left combine h t.pos in
   let h = combine h (Memory.vhash t.shared.next) in
   let h = combine h (Memory.mhash t.shared.done_m) in
@@ -620,17 +601,22 @@ let handle t =
       fingerprint = (fun () -> fingerprint t);
     }
 
-let result t = t.output
+(* In Iter_step mode a process reaches End only through the final
+   gather, and FREE and TRY stay as it left them. *)
+let result t =
+  match (t.mode, t.status) with
+  | Iter_step { keep_try = true }, End ->
+      Some (Set.of_list (Freeset.elements t.sets))
+  | Iter_step { keep_try = false }, End ->
+      Some (Set.of_list (Freeset.diff_elements t.sets))
+  | _ -> None
 let do_count t = t.n_done
 let restart_count t = t.n_restarts
 let collisions_detected t = t.n_collisions
 let status_name t = status_to_string t.status
-let free_set t = t.free
-let try_set t = t.tries
-let done_set t =
-  Set.fold
-    (fun x acc -> if Set.mem x t.free then acc else Set.add x acc)
-    t.initial_free Set.empty
+let free_set t = Set.of_list (Freeset.elements t.sets)
+let try_set t = Set.of_list (Freeset.try_elements t.sets)
+let done_set t = Set.of_list (Freeset.done_elements t.sets)
 let announced t = t.next_j
 
 end

@@ -31,12 +31,14 @@
     [perform] callback expanding one item into its constituent [Do]
     events.
 
-    The algorithm only needs its FREE/DONE/TRY sets through the
-    order-statistic interface {!Set_intf.S} ("red-black tree or some
-    variant of B-tree", §3), so the implementation is a functor; the
-    toplevel values are the default instantiation over {!Ostree}
-    (AVL), and [Make (Rbtree)] gives the red-black-backed variant with
-    the identical API. *)
+    FREE and TRY live in a {!Freeset} (a bitmap with a Fenwick count
+    index over initial FREE's span, and a sorted TRY array), so a
+    quiet step allocates nothing; DONE is initial FREE \ FREE.
+    Persistent sets appear only at the boundary: [create] takes initial
+    FREE as one, and [free_set], [try_set], [done_set] and [result]
+    build one on each call.  The boundary type is a functor parameter
+    ({!Set_intf.S}); the toplevel values are the instantiation over
+    {!Ostree}. *)
 
 type mode = Kk_intf.mode =
   | Standalone  (** plain KKβ: terminate when |FREE \ TRY| < β *)
@@ -97,17 +99,18 @@ module type S = Kk_intf.S
       register the next action will touch, driving the explorer's
       partial-order reduction.
     - [result] is the IterStepKK output set ([Some] once terminated in
-      [Iter_step] mode).
+      [Iter_step] mode), built on each call.
     - [do_count], [collisions_detected], [status_name], [free_set],
-      [try_set], [done_set], [announced]: introspection.  DONE is
-      derived, not stored: [done_set] is initial FREE \ FREE, built on
-      each call (a job enters DONE exactly when it leaves FREE). *)
+      [try_set], [done_set], [announced]: introspection.  The three
+      sets are built on each call; DONE is derived, not stored:
+      [done_set] is initial FREE \ FREE (a job enters DONE exactly
+      when it leaves FREE). *)
 
 module Make (Set : Set_intf.S) : S with type set = Set.t
-(** KKβ over an arbitrary order-statistic backend. *)
+(** KKβ with [Set] as the persistent set type at its boundary. *)
 
 include S with type set = Ostree.t
-(** The default (AVL) instantiation — what the rest of the repository
+(** The {!Ostree} instantiation — what the rest of the repository
     uses. *)
 
 val done_matrix : shared -> Shm.Memory.matrix

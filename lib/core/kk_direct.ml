@@ -10,23 +10,21 @@ type flag = { is_set : unit -> bool; set : unit -> unit }
 (* Fig. 2, one process, with its register accesses in the automaton's
    (Kk) order.  Work charges mirror the simulator's, so measured work
    is comparable with Theorem 5.6's bound the same way E4's is. *)
-let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
-    =
+let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free ~perform =
   let log_unit = Params.log2_ceil (max 2 cols) in
-  (* DONE is free0 \ FREE (a job enters DONE exactly when it leaves
-     FREE), so it needs no tree of its own *)
-  let free = ref free0 in
-  let tries = ref Ostree.empty in
+  (* [free] holds FREE and TRY; DONE is initial FREE \ FREE (a job
+     enters DONE exactly when it leaves FREE), so it needs no set *)
+  Freeset.try_clear free;
   let pos = Array.make (m + 1) 1 in
   let count = ref 0 in
   let gather_try () =
-    tries := Ostree.empty;
+    Freeset.try_clear free;
     for q = 1 to m do
       if q <> pid then begin
         let v = regs.read_next q in
         Shm.Metrics.on_read ledger ~p:pid;
         if v > 0 then begin
-          tries := Ostree.add v !tries;
+          Freeset.try_add v free;
           Shm.Metrics.add_work ledger ~p:pid log_unit
         end
       end
@@ -42,7 +40,7 @@ let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
             let v = regs.read_done q pos.(q) in
             Shm.Metrics.on_read ledger ~p:pid;
             if v > 0 then begin
-              free := Ostree.remove v !free;
+              Freeset.remove v free;
               pos.(q) <- pos.(q) + 1;
               Shm.Metrics.add_work ledger ~p:pid (2 * log_unit)
             end
@@ -57,7 +55,8 @@ let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
   let finalize () =
     gather_try ();
     gather_done ();
-    Ostree.fold (fun x acc -> Ostree.remove x acc) !tries !free
+    Freeset.remove_try free;
+    free
   in
   let flag_seen () =
     match flag with
@@ -68,10 +67,10 @@ let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
         set
   in
   let rec loop () =
-    if !count >= budget then !free
-    else if Ostree.diff_cardinal !free !tries < beta then begin
+    if !count >= budget then free
+    else if Freeset.diff_cardinal free < beta then begin
       match flag with
-      | None -> !free
+      | None -> free
       | Some f ->
           f.set ();
           Shm.Metrics.on_write ledger ~p:pid;
@@ -80,16 +79,16 @@ let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
     else begin
       Shm.Metrics.on_internal ledger ~p:pid;
       Shm.Metrics.add_work ledger ~p:pid
-        (Policy.work_cost ~try_cardinal:(Ostree.cardinal !tries)
+        (Policy.work_cost ~try_cardinal:(Freeset.try_cardinal free)
            ~log_n:log_unit);
-      let j = Policy.choose policy ~p:pid ~m ~free:!free ~try_set:!tries in
+      let j = Policy.choose policy ~p:pid ~m free in
       regs.write_next j;
       Shm.Metrics.on_write ledger ~p:pid;
       gather_try ();
       gather_done ();
       Shm.Metrics.on_internal ledger ~p:pid;
       Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-      if Ostree.mem j !tries || not (Ostree.mem j !free) then loop ()
+      if Freeset.try_mem j free || not (Freeset.mem j free) then loop ()
       else if flag_seen () then finalize ()
       else begin
         (* do the job, then publish it *)
@@ -100,7 +99,7 @@ let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0 ~perform
         regs.write_done pos.(pid) j;
         Shm.Metrics.on_write ledger ~p:pid;
         Shm.Metrics.add_work ledger ~p:pid (2 * log_unit);
-        free := Ostree.remove j !free;
+        Freeset.remove j free;
         pos.(pid) <- pos.(pid) + 1;
         loop ()
       end
@@ -116,8 +115,11 @@ let iterative ~hierarchy ~regs ~flag ~ledger ~pid ~m ~beta ~perform =
       run ~flag:(flag level) (regs level) ~policy:Policy.Rank_split
         ~budget:max_int ~ledger ~pid ~m ~beta
         ~cols:(Superjob.block_count hierarchy level)
-        ~free0:!free ~perform:(perform level)
+        ~free:(Freeset.of_set (module Ostree) !free)
+        ~perform:(perform level)
     in
     if level + 1 < levels then
-      free := Superjob.map_down hierarchy ~from_level:level out
+      free :=
+        Superjob.map_down hierarchy ~from_level:level
+          (Ostree.of_list (Freeset.elements out))
   done

@@ -39,20 +39,24 @@ val run :
   m:int ->
   beta:int ->
   cols:int ->
-  free0:Ostree.t ->
+  free:Freeset.t ->
   perform:(int -> unit) ->
-  Ostree.t
-(** [run regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free0
-    ~perform] is process [pid]'s Fig. 2 loop over the candidate ids
-    [free0], with [done] rows of [cols] cells.  [perform j] does job
-    [j]; it is called before [j] is published in [done].
+  Freeset.t
+(** [run regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free
+    ~perform] is process [pid]'s Fig. 2 loop over the candidate ids in
+    [free] (FREE; its TRY is ignored and overwritten), with [done] rows
+    of [cols] cells.  [perform j] does job [j]; it is called before
+    [j] is published in [done].  The loop updates [free] in place and
+    returns it; it allocates nothing per job beyond what [perform] and
+    the register accessors do.
 
     The loop stops silently once it has performed [budget] jobs, as a
     crash at that point would (the test comes before any register
     access).  Otherwise it stops when |FREE \ TRY| < β.  Without
     [flag] it then returns FREE.  With [flag] it first sets the flag,
     and it also stops when it reads the flag set before a perform; in
-    both cases it re-gathers TRY and DONE and returns FREE \ TRY.
+    both cases it re-gathers TRY and DONE, removes TRY from FREE and
+    returns FREE \ TRY.
 
     [ledger] is charged for [pid] one read or write per register
     access, one internal per [compNext], check and perform, and the
@@ -75,5 +79,6 @@ val iterative :
     one {!run} with the paper's [Rank_split] rule per level of
     [hierarchy], on level [l]'s registers [regs l] and flag [flag l],
     with each level's output mapped down to the next level's
-    candidate super-jobs ({!Superjob.map_down}).  [perform l id] does
-    super-job [id] of level [l]. *)
+    candidate super-jobs ({!Superjob.map_down}, on persistent sets:
+    each level's {!Freeset.t} is built from the mapped set and read
+    back once).  [perform l id] does super-job [id] of level [l]. *)

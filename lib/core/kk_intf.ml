@@ -1,6 +1,8 @@
 (* Interface-only module: the mode type and the signature one KKβ
-   instantiation presents, shared between the functor and its default
-   (AVL-backed) instantiation.  Documentation lives in kk.mli. *)
+   instantiation presents, shared between the functor and its Ostree
+   instantiation.  [set] is the persistent set type of the boundary
+   only: the process keeps FREE and TRY in a [Freeset].  Documentation
+   lives in kk.mli. *)
 
 type mode = Standalone | Iter_step of { keep_try : bool }
 
@@ -61,7 +63,7 @@ module type S = sig
   val try_set : t -> set
 
   val done_set : t -> set
-  (** Derived: initial FREE \ FREE, built on each call.  No DONE tree
+  (** Derived: initial FREE \ FREE, built on each call.  No DONE set
       is kept, since a job enters DONE exactly when it leaves FREE. *)
 
   val announced : t -> int

@@ -14,9 +14,9 @@
     Censor-Hillel [22]; [Lowest_free] is the natural greedy rule whose
     collision behaviour the paper's rule is designed to avoid.
 
-    The selection arithmetic is independent of the balanced-tree
-    backend, so it is provided as a functor over {!Set_intf.S}; the
-    toplevel [choose] is the default ({!Ostree}, AVL) instantiation. *)
+    The rule reads FREE and TRY only through their cardinalities and
+    [rank(FREE, TRY, i)], so it is written once over {!Freeset}, the
+    sets both KKβ bodies ({!Kk} and {!Kk_direct}) keep. *)
 
 type t =
   | Rank_split  (** the paper's rule (Fig. 2, [compNextp]) *)
@@ -26,25 +26,21 @@ type t =
 
 val name : t -> string
 
-module Make (Set : Set_intf.S) : sig
-  val choose : t -> p:int -> m:int -> free:Set.t -> try_set:Set.t -> int
-  (** [choose pol ~p ~m ~free ~try_set] returns the candidate job.
+val choose : t -> p:int -> m:int -> Freeset.t -> int
+(** [choose pol ~p ~m sets] returns the candidate job from the FREE
+    and TRY held in [sets].
 
-      Precondition: [FREE \ TRY] is non-empty (the algorithm only
-      calls this when its cardinality is at least β ≥ 1).
+    Precondition: [FREE \ TRY] is non-empty (the algorithm only
+    calls this when its cardinality is at least β ≥ 1).
 
-      For [Rank_split] this computes, with [nf = |FREE|]:
-      - if [(nf − (m−1)) / m >= 1]: rank [⌊(p−1)·(nf−m+1)/m⌋ + 1];
-      - otherwise: rank [p],
-      over FREE \ TRY, exactly as in the paper.  In the paper's
-      regime (β ≥ m) the rank is always in range; in the experimental
-      β < m regime termination is not guaranteed (§3) and the rank is
-      clamped to the available range so that correctness is
-      preserved. *)
-end
-
-val choose : t -> p:int -> m:int -> free:Ostree.t -> try_set:Ostree.t -> int
-(** [Make (Ostree)]'s [choose]. *)
+    For [Rank_split] this computes, with [nf = |FREE|]:
+    - if [(nf − (m−1)) / m >= 1]: rank [⌊(p−1)·(nf−m+1)/m⌋ + 1];
+    - otherwise: rank [p],
+    over FREE \ TRY, exactly as in the paper.  In the paper's
+    regime (β ≥ m) the rank is always in range; in the experimental
+    β < m regime termination is not guaranteed (§3) and the rank is
+    clamped to the available range so that correctness is
+    preserved. *)
 
 val work_cost : try_cardinal:int -> log_n:int -> int
 (** The work units Theorem 5.6 charges for one [compNext]: the

@@ -36,7 +36,7 @@ let kk_body ~n ~m ~beta ~pid ~read ~write ~do_job =
        (bank_regs ~m { base = 0; cols = n } ~pid ~read ~write)
        ~policy:Core.Policy.Rank_split ~budget:max_int
        ~ledger:(Shm.Metrics.create ~m) ~pid ~m ~beta ~cols:n
-       ~free0:(Ostree.of_range 1 n) ~perform:do_job)
+       ~free:(Core.Freeset.interval 1 n) ~perform:do_job)
 
 let run_kk ?crash_plan ?max_deliveries ~servers ~n ~m ~beta ~rng () =
   if m < 1 || n < m then invalid_arg "Kk_mp.run_kk: need 1 <= m <= n";

@@ -148,7 +148,7 @@ let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
             let performed = ref [] in
             ignore
               (Core.Kk_direct.run regs ~policy ~budget ~ledger ~pid ~m ~beta
-                 ~cols:n ~free0:(Ostree.of_range 1 n) ~perform:(fun j ->
+                 ~cols:n ~free:(Core.Freeset.interval 1 n) ~perform:(fun j ->
                    performed := j :: !performed;
                    emit j));
             List.rev !performed

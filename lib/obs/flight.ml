@@ -31,13 +31,16 @@ type t = {
 
 let alloc n = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
 
+(* the buffer of every slot not yet written: never written itself *)
+let unused = alloc 0
+
 let create ?(segment_bytes = 65_536) ?(max_segments = 8) () =
   if segment_bytes < 1 then
     invalid_arg "Flight.create: segment_bytes must be >= 1";
   if max_segments < 1 then invalid_arg "Flight.create: max_segments must be >= 1";
   let slots =
     Array.init max_segments (fun _ ->
-        { data = alloc 0; len = 0; records = 0; first_seq = 0 })
+        { data = unused; len = 0; records = 0; first_seq = 0 })
   in
   {
     segment_bytes;
@@ -70,43 +73,69 @@ let seal t =
   let next = slot t t.nsealed in
   t.cur <- next;
   (* a buffer grown for an oversized record is not kept *)
-  if Bigarray.Array1.dim next.data > t.segment_bytes then next.data <- alloc 0;
+  if Bigarray.Array1.dim next.data > t.segment_bytes then next.data <- unused;
   next.len <- 0;
   next.records <- 0;
   next.first_seq <- t.total_records
 
-(* Make room for [len] more bytes in the open segment, sealing it
-   first when the record would overflow a non-empty segment. *)
-let before_push t len =
-  if t.cur.records > 0 && t.cur.len + len > t.segment_bytes then seal t;
-  let c = t.cur in
-  let need = c.len + len in
+(* Grow the open segment's buffer to hold [need] bytes, keeping its
+   first [keep] (as far as the old buffer reaches). *)
+let grow c ~segment_bytes ~keep need =
   let dim = Bigarray.Array1.dim c.data in
   if need > dim then begin
-    let d = alloc (max need (min t.segment_bytes (max 4096 (2 * dim)))) in
+    let keep = min keep dim in
+    let d = alloc (max need (min segment_bytes (max 4096 (2 * dim)))) in
     Bigarray.Array1.blit
-      (Bigarray.Array1.sub c.data 0 c.len)
-      (Bigarray.Array1.sub d 0 c.len);
+      (Bigarray.Array1.sub c.data 0 keep)
+      (Bigarray.Array1.sub d 0 keep);
     c.data <- d
-  end;
-  c
+  end
 
-let after_push t c len =
+(* A record is written in place at the open segment's end, from
+   [start = cur.len]; its bytes [start, upto) are already there.  It
+   belongs in the open segment unless that segment is non-empty and the
+   record would take it past [segment_bytes]: then the segment is sealed
+   and the record's bytes move to the front of the next one, whose
+   buffer is grown to hold [need] bytes.  Bytes past the end of the
+   buffer are not written yet, so they are not moved. *)
+let move_to_next t ~start ~upto ~need =
+  let src = t.cur.data in
+  let n = max 0 (min upto (Bigarray.Array1.dim src) - start) in
+  seal t;
+  grow t.cur ~segment_bytes:t.segment_bytes ~keep:0 need;
+  Bigarray.Array1.blit
+    (Bigarray.Array1.sub src start n)
+    (Bigarray.Array1.sub t.cur.data 0 n)
+
+let open_buf t = t.cur.data
+let open_len t = t.cur.len
+
+let make_room t ~start ~upto ~need =
+  if t.cur.records > 0 && need > t.segment_bytes then begin
+    move_to_next t ~start ~upto ~need:(need - start);
+    0
+  end
+  else begin
+    grow t.cur ~segment_bytes:t.segment_bytes ~keep:upto need;
+    start
+  end
+
+let commit t ~start ~len =
+  if t.cur.records > 0 && start + len > t.segment_bytes then
+    move_to_next t ~start ~upto:(start + len) ~need:len;
+  let c = t.cur in
   c.len <- c.len + len;
   c.records <- c.records + 1;
   t.total_records <- t.total_records + 1;
   t.total_bytes <- t.total_bytes + len
 
-let push_bytes t b ~len =
-  if len < 0 || len > Bytes.length b then invalid_arg "Flight.push_bytes: len";
-  let c = before_push t len in
+let push t s =
+  let len = String.length s and at = t.cur.len in
+  let start = make_room t ~start:at ~upto:at ~need:(at + len) in
   for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set c.data (c.len + i) (Bytes.unsafe_get b i)
+    Bigarray.Array1.unsafe_set t.cur.data (start + i) (String.unsafe_get s i)
   done;
-  after_push t c len
-
-(* [push_bytes] only reads its buffer *)
-let push t s = push_bytes t (Bytes.unsafe_of_string s) ~len:(String.length s)
+  commit t ~start ~len
 
 let total_records t = t.total_records
 let total_bytes t = t.total_bytes

@@ -32,9 +32,36 @@ val create : ?segment_bytes:int -> ?max_segments:int -> unit -> t
 val push : t -> string -> unit
 (** Append one encoded record. *)
 
-val push_bytes : t -> Bytes.t -> len:int -> unit
-(** [push] of the first [len] bytes of a caller-reused scratch buffer
-    (the hot-path variant: no intermediate string). *)
+(** {2 In-place framing}
+
+    The hot write path encodes a record straight into the open
+    segment: it writes from [open_len t] in [open_buf t], calls
+    [make_room] whenever it needs more bytes than the buffer holds, and
+    ends with [commit].  The result is the same as a {!push} of the
+    record's bytes. *)
+
+type buf =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val open_buf : t -> buf
+(** The open segment's buffer (changes when it grows or is sealed). *)
+
+val open_len : t -> int
+(** Bytes held by the open segment: where the next record starts. *)
+
+val make_room : t -> start:int -> upto:int -> need:int -> int
+(** [make_room t ~start ~upto ~need]: the record under construction
+    starts at [start] and its bytes up to [upto] are written; make
+    [open_buf t] hold [need] bytes.  If the record can no longer fit the
+    non-empty open segment, the segment is sealed and the written bytes
+    move to the front of the next one.  Returns the record's start
+    (then [0]). *)
+
+val commit : t -> start:int -> len:int -> unit
+(** The [len] bytes from [start] (as last returned by {!open_len} or
+    {!make_room}) in [open_buf t] are one record: append it, sealing
+    first (and moving the bytes) when it would overflow a non-empty
+    segment. *)
 
 (** {2 Counters} — loss is visible, never silent. *)
 

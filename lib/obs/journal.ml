@@ -12,41 +12,95 @@ type damage = { offset : int; reason : string }
 
 let checksum_seed = 0xA5
 
-(* One frame under construction, written straight into a reusable
-   byte buffer.  The payload starts at offset 1, after one byte kept
-   for the length varint (enough for every payload under 128 bytes;
-   {!finish} shifts a longer one right), and every payload byte is
-   folded into the xor checksum as it is written. *)
-type writer = { mutable buf : Bytes.t; mutable len : int; mutable sum : int }
-
-let writer () = { buf = Bytes.create 128; len = 1; sum = checksum_seed }
+(* One frame under construction, written straight into its buffer:
+   a private one, or with a [target] flight the open segment itself, so
+   the always-on probe copies no byte twice.  The frame starts at
+   [start] with one byte kept for the length varint (enough for every
+   payload under 128 bytes; {!finish} shifts a longer one right), and
+   every payload byte is folded into the xor checksum as it is
+   written. *)
+type writer = {
+  target : Flight.t option;
+  mutable buf : Flight.buf;
+  mutable start : int;
+  mutable len : int; (* next write offset *)
+  mutable sum : int;
+}
 
 let reset w =
-  w.len <- 1;
+  (match w.target with
+  | Some fl ->
+      w.buf <- Flight.open_buf fl;
+      w.start <- Flight.open_len fl
+  | None -> w.start <- 0);
+  w.len <- w.start + 1;
   w.sum <- checksum_seed
 
-let reserve w k =
-  if w.len + k > Bytes.length w.buf then begin
-    let b = Bytes.create (max (2 * Bytes.length w.buf) (w.len + k)) in
-    Bytes.blit w.buf 0 b 0 w.len;
-    w.buf <- b
-  end
+let writer ?target () =
+  let buf =
+    match target with
+    | Some fl -> Flight.open_buf fl
+    | None -> Bigarray.Array1.create Bigarray.char Bigarray.c_layout 128
+  in
+  let w = { target; buf; start = 0; len = 1; sum = checksum_seed } in
+  reset w;
+  w
 
-let add_byte w c =
+let grow w k =
+  match w.target with
+  | None ->
+      let b =
+        Bigarray.Array1.create Bigarray.char Bigarray.c_layout
+          (max (2 * Bigarray.Array1.dim w.buf) (w.len + k))
+      in
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub w.buf 0 w.len)
+        (Bigarray.Array1.sub b 0 w.len);
+      w.buf <- b
+  | Some fl ->
+      let start =
+        Flight.make_room fl ~start:w.start ~upto:w.len ~need:(w.len + k)
+      in
+      w.len <- w.len - w.start + start;
+      w.start <- start;
+      w.buf <- Flight.open_buf fl
+
+let[@inline] reserve w k =
+  if w.len + k > Bigarray.Array1.dim w.buf then grow w k
+
+let[@inline] add_byte w c =
   reserve w 1;
-  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr c);
+  Bigarray.Array1.unsafe_set w.buf w.len (Char.unsafe_chr c);
   w.len <- w.len + 1;
   w.sum <- w.sum lxor c
 
-let rec add_varint w n =
-  (* unsigned LEB128 over the int's bit pattern; [lsr] is logical so
-     this terminates for negative inputs too (9 bytes max) *)
+(* Unsigned LEB128 over the int's bit pattern; [lsr] is logical so
+   this terminates for negative inputs too (9 bytes max).  With room
+   for the longest varint already in the buffer the bytes go in one
+   loop; otherwise byte by byte, each reserving exactly what it needs. *)
+let rec add_varint_slow w n =
   let rest = n lsr 7 in
   if rest = 0 then add_byte w n
   else begin
     add_byte w (n land 0x7f lor 0x80);
-    add_varint w rest
+    add_varint_slow w rest
   end
+
+let add_varint w n =
+  if w.len + 9 <= Bigarray.Array1.dim w.buf then begin
+    let b = w.buf and i = ref w.len and n = ref n and sum = ref w.sum in
+    while !n lsr 7 <> 0 do
+      let c = !n land 0x7f lor 0x80 in
+      Bigarray.Array1.unsafe_set b !i (Char.unsafe_chr c);
+      sum := !sum lxor c;
+      incr i;
+      n := !n lsr 7
+    done;
+    Bigarray.Array1.unsafe_set b !i (Char.unsafe_chr !n);
+    w.sum <- !sum lxor !n;
+    w.len <- !i + 1
+  end
+  else add_varint_slow w n
 
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 let unzigzag z = (z lsr 1) lxor (- (z land 1))
@@ -56,37 +110,42 @@ let add_str w s =
   let n = String.length s in
   add_varint w n;
   reserve w n;
-  Bytes.blit_string s 0 w.buf w.len n;
   for i = 0 to n - 1 do
-    w.sum <- w.sum lxor Char.code (String.unsafe_get s i)
+    let c = String.unsafe_get s i in
+    Bigarray.Array1.unsafe_set w.buf (w.len + i) c;
+    w.sum <- w.sum lxor Char.code c
   done;
   w.len <- w.len + n
 
 let rec varint_width n = if n < 0x80 then 1 else 1 + varint_width (n lsr 7)
 
 (* [add_varint] at offset [i], outside the checksum *)
-let rec put_varint b i n =
+let rec put_varint (b : Flight.buf) i n =
   let rest = n lsr 7 in
-  if rest = 0 then Bytes.unsafe_set b i (Char.unsafe_chr n)
+  if rest = 0 then Bigarray.Array1.unsafe_set b i (Char.unsafe_chr n)
   else begin
-    Bytes.unsafe_set b i (Char.unsafe_chr (n land 0x7f lor 0x80));
+    Bigarray.Array1.unsafe_set b i (Char.unsafe_chr (n land 0x7f lor 0x80));
     put_varint b (i + 1) rest
   end
 
 (* Close the frame: length varint in front, checksum byte behind.
-   Returns the frame's length; its bytes are [w.buf.[0 .. len-1]]. *)
+   Returns the frame's length; its bytes are
+   [w.buf.{w.start .. w.start + len - 1}]. *)
 let finish w =
-  let plen = w.len - 1 in
+  let plen = w.len - w.start - 1 in
   let k = varint_width plen in
   if k > 1 then begin
     reserve w (k - 1);
-    Bytes.blit w.buf 1 w.buf k plen
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub w.buf (w.start + 1) plen)
+      (Bigarray.Array1.sub w.buf (w.start + k) plen)
   end;
-  put_varint w.buf 0 plen;
-  w.len <- k + plen;
+  put_varint w.buf w.start plen;
+  w.len <- w.start + k + plen;
   reserve w 1;
-  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr w.sum);
-  w.len + 1
+  Bigarray.Array1.unsafe_set w.buf w.len (Char.unsafe_chr w.sum);
+  w.len <- w.len + 1;
+  w.len - w.start
 
 let rec add_json w (j : Json.t) =
   match j with
@@ -201,10 +260,20 @@ let encode_payload w = function
         r.args
   | Event { step; event } -> add_step_event w ~step event
 
+(* One private writer per domain, reused: a fresh off-heap buffer per
+   record would cost more than the encoding. *)
+let scratch = Domain.DLS.new_key (fun () -> writer ())
+
 let encode item =
-  let w = writer () in
+  let w = Domain.DLS.get scratch in
+  reset w;
   encode_payload w item;
-  Bytes.sub_string w.buf 0 (finish w)
+  let len = finish w in
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get w.buf i)
+  done;
+  Bytes.unsafe_to_string b
 
 (* ---------- primitive readers ---------- *)
 
@@ -391,11 +460,12 @@ let decode_file path =
 let sink fl = Sink.journal ~encode:(fun r -> encode (Record r)) fl
 
 let probe fl =
-  let w = writer () in
+  let w = writer ~target:fl () in
   Shm.Probe.make ~needs_phase:false (fun ~step ~phase:_ ev ->
       reset w;
       add_step_event w ~step ev;
-      Flight.push_bytes fl w.buf ~len:(finish w))
+      let len = finish w in
+      Flight.commit fl ~start:w.start ~len)
 
 (* ---------- dumps ---------- *)
 

@@ -62,9 +62,9 @@ val sink : Flight.t -> Sink.t
 
 val probe : Flight.t -> Shm.Probe.t
 (** The lean always-on write path: encodes each executor event as a
-    compact {!Event} item into one reused frame buffer (checksum
-    folded in as bytes are written, no payload copy, no item record),
-    then into the flight, skipping the phase lookup
+    compact {!Event} item straight into the flight's open segment
+    (checksum folded in as bytes are written, no copy, no item
+    record), skipping the phase lookup
     ([needs_phase = false]) and the per-event {!Sink.record}
     construction.  This is the path the E19
     bench holds under 5% overhead versus a null probe. *)

@@ -1,14 +1,13 @@
-(** The order-statistic set interface shared by both backing
-    structures.
+(** The persistent order-statistic set interface.
 
     The paper stores FREE, DONE and TRY in "some tree structure like
-    red-black tree or some variant of B-tree" (§3); nothing in the
-    algorithm depends on the balancing scheme, only on this
-    interface.  The repository ships two implementations —
-    {!Ostree} (size-augmented AVL; the default everywhere) and
-    {!Rbtree} (size-augmented red-black, Okasaki insertion / Kahrs
-    deletion) — cross-validated against each other in the test suite
-    and raced in the timing benches. *)
+    red-black tree or some variant of B-tree" (§3) and needs only
+    O(log n) update/search and rank/select.  KKβ's own hot path keeps
+    them in the mutable fixed-universe [Core.Freeset]; this interface
+    is the persistent side of its boundary: what [Core.Kk.Make] takes
+    initial FREE as and hands [free_set], [try_set], [done_set] and the
+    IterStepKK result back as.  {!Ostree} (size-augmented AVL)
+    implements it, and so do the test suite's reference trees. *)
 
 module type S = sig
   type t

@@ -7,11 +7,10 @@
     black-height-deficiency flag.  Every node caches its subtree
     cardinality for O(log n) rank/select, exactly as in {!Ostree}.
 
-    {!Ostree} (AVL) remains the default backing structure of the
-    algorithms; this module exists (a) as the drop-in alternative the
-    paper describes, (b) to cross-validate the two implementations
-    against each other in the test suite, and (c) to race them in the
-    timing benches. *)
+    A test fixture, not part of the library: the differential tests
+    check {!Ostree} against it, and [Core.Kk.Make (Rbtree)] checks
+    that KKβ's boundary with its persistent sets works over any
+    {!Set_intf.S}. *)
 
 include Set_intf.S
 

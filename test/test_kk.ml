@@ -601,6 +601,64 @@ let prop_config_fuzz =
       amo && s.Core.Harness.wait_free
       && s.Core.Harness.do_count >= n - (beta + m - 2))
 
+(* ---- allocation guards ---- *)
+
+(* FREE and TRY are mutable (Core.Freeset), so once a process exists
+   its quiet steps allocate nothing: a `Silent run with a null probe
+   and a [perform] returning a preallocated list stays under one minor
+   word per step. *)
+let test_quiet_step_allocation_free () =
+  let n = 4096 and m = 4 in
+  let metrics = Shm.Metrics.create ~m in
+  let shared = Core.Kk.make_shared ~metrics ~m ~capacity:n ~name:"kk" () in
+  let events = [ Shm.Event.Do { p = 0; job = 0 } ] in
+  let handles =
+    Array.init m (fun i ->
+        Core.Kk.handle
+          (Core.Kk.create ~shared ~pid:(i + 1) ~beta:m
+             ~policy:Core.Policy.Rank_split ~free:(Core.Job.universe ~n)
+             ~perform:(fun ~p:_ _ -> events)
+             ~mode:Core.Kk.Standalone ()))
+  in
+  let before = Gc.minor_words () in
+  let outcome =
+    Shm.Executor.run ~trace_level:`Silent
+      ~scheduler:(Shm.Schedule.random (Util.Prng.of_int 3))
+      ~adversary:Shm.Adversary.none handles
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "quiescent" true
+    (outcome.Shm.Executor.reason = Shm.Executor.Quiescent);
+  let per_step = words /. float_of_int outcome.Shm.Executor.steps in
+  if per_step >= 1. then Alcotest.failf "%.2f minor words per step" per_step
+
+(* The direct-style loop over plain arrays: under one minor word per
+   job once its closures and set exist. *)
+let test_direct_run_allocation_free () =
+  let n = 4096 and m = 4 in
+  let next = Array.make (m + 1) 0 in
+  let done_m = Array.init (m + 1) (fun _ -> Array.make (n + 1) 0) in
+  let regs pid =
+    {
+      Core.Kk_direct.read_next = (fun q -> next.(q));
+      write_next = (fun v -> next.(pid) <- v);
+      read_done = (fun q c -> done_m.(q).(c));
+      write_done = (fun c v -> done_m.(pid).(c) <- v);
+    }
+  in
+  let ledger = Shm.Metrics.create ~m in
+  let jobs = ref 0 in
+  let perform _ = incr jobs in
+  let regs = regs 1 and free = Core.Freeset.interval 1 n in
+  let before = Gc.minor_words () in
+  ignore
+    (Core.Kk_direct.run regs ~policy:Core.Policy.Rank_split ~budget:max_int
+       ~ledger ~pid:1 ~m ~beta:m ~cols:n ~free ~perform);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "jobs" (n - m + 1) !jobs;
+  let per_job = words /. float_of_int !jobs in
+  if per_job >= 1. then Alcotest.failf "%.2f minor words per job" per_job
+
 let suite =
   [
     Helpers.qtest prop_config_fuzz;
@@ -653,6 +711,10 @@ let suite =
     Alcotest.test_case "heterogeneous FREE sets" `Quick
       test_heterogeneous_free_sets;
     Alcotest.test_case "pinned seeded traces" `Quick test_pinned_seeded_traces;
+    Alcotest.test_case "quiet step allocation-free" `Quick
+      test_quiet_step_allocation_free;
+    Alcotest.test_case "direct run allocation-free" `Quick
+      test_direct_run_allocation_free;
     Alcotest.test_case "verbose traces audit + match metrics" `Quick
       test_verbose_traces_audit;
     Alcotest.test_case "bounded-exhaustive interleavings" `Slow

@@ -4,6 +4,7 @@ let () =
       ("prng", Test_prng.suite);
       ("stats", Test_stats.suite);
       ("ostree", Test_ostree.suite);
+      ("freeset", Test_freeset.suite);
       ("rbtree", Test_rbtree.suite);
       ("twothree", Test_twothree.suite);
       ("shm", Test_shm.suite);

@@ -1,15 +1,18 @@
 (* Tests for the candidate-selection policies. *)
 
-let universe n = Ostree.of_range 1 n
+(* FREE = [free], TRY = [tried], as one process keeps them *)
+let sets ?(tried = []) free =
+  List.iter (fun x -> Core.Freeset.try_add x free) tried;
+  free
+
+let universe n = Core.Freeset.interval 1 n
+let of_list l = Core.Freeset.of_set (module Ostree) (Ostree.of_list l)
 
 let test_rank_split_formula () =
   (* n=100 free jobs, m=4, TRY empty: TMP = (100-3)/4 = 24.25 >= 1,
      so p picks rank floor((p-1)*24.25)+1 of FREE\TRY. *)
   let free = universe 100 in
-  let pick p =
-    Core.Policy.choose Core.Policy.Rank_split ~p ~m:4 ~free
-      ~try_set:Ostree.empty
-  in
+  let pick p = Core.Policy.choose Core.Policy.Rank_split ~p ~m:4 free in
   Alcotest.(check int) "p1" 1 (pick 1);
   Alcotest.(check int) "p2" 25 (pick 2);
   Alcotest.(check int) "p3" 49 (pick 3);
@@ -22,8 +25,7 @@ let test_rank_split_small_pool () =
     Alcotest.(check int)
       (Printf.sprintf "p%d picks rank p" p)
       p
-      (Core.Policy.choose Core.Policy.Rank_split ~p ~m:4 ~free
-         ~try_set:Ostree.empty)
+      (Core.Policy.choose Core.Policy.Rank_split ~p ~m:4 free)
   done
 
 let test_rank_split_initial_picks_distinct () =
@@ -34,8 +36,7 @@ let test_rank_split_initial_picks_distinct () =
       let free = universe n in
       let picks =
         List.init m (fun i ->
-            Core.Policy.choose Core.Policy.Rank_split ~p:(i + 1) ~m ~free
-              ~try_set:Ostree.empty)
+            Core.Policy.choose Core.Policy.Rank_split ~p:(i + 1) ~m free)
       in
       let distinct = List.sort_uniq compare picks in
       Alcotest.(check int)
@@ -46,37 +47,31 @@ let test_rank_split_initial_picks_distinct () =
 let test_rank_split_skips_try () =
   (* TRY excludes candidates: with 1..10 free and {1,2,3} tried,
      p=1 of m=10 picks the first of FREE \ TRY = 4. *)
-  let free = universe 10 in
-  let try_set = Ostree.of_list [ 1; 2; 3 ] in
+  let free = sets ~tried:[ 1; 2; 3 ] (universe 10) in
   Alcotest.(check int) "skips tried" 4
-    (Core.Policy.choose Core.Policy.Rank_split ~p:1 ~m:10 ~free ~try_set)
+    (Core.Policy.choose Core.Policy.Rank_split ~p:1 ~m:10 free)
 
 let test_rank_split_ignores_try_strangers () =
   (* TRY entries not in FREE must not shift the rank *)
-  let free = Ostree.of_list [ 10; 20; 30 ] in
-  let try_set = Ostree.of_list [ 5; 15 ] in
+  let free = sets ~tried:[ 5; 15 ] (of_list [ 10; 20; 30 ]) in
   Alcotest.(check int) "stranger-proof" 10
-    (Core.Policy.choose Core.Policy.Rank_split ~p:1 ~m:3 ~free ~try_set)
+    (Core.Policy.choose Core.Policy.Rank_split ~p:1 ~m:3 free)
 
 let test_lowest_free () =
-  let free = Ostree.of_list [ 7; 3; 9 ] in
+  let free = of_list [ 7; 3; 9 ] in
   Alcotest.(check int) "lowest" 3
-    (Core.Policy.choose Core.Policy.Lowest_free ~p:2 ~m:4 ~free
-       ~try_set:Ostree.empty);
+    (Core.Policy.choose Core.Policy.Lowest_free ~p:2 ~m:4 free);
   Alcotest.(check int) "lowest not tried" 7
-    (Core.Policy.choose Core.Policy.Lowest_free ~p:2 ~m:4 ~free
-       ~try_set:(Ostree.of_list [ 3 ]))
+    (Core.Policy.choose Core.Policy.Lowest_free ~p:2 ~m:4
+       (sets ~tried:[ 3 ] free))
 
 let test_random_in_pool () =
   let rng = Util.Prng.of_int 9 in
-  let free = universe 20 in
-  let try_set = Ostree.of_list [ 5; 6; 7 ] in
+  let free = sets ~tried:[ 5; 6; 7 ] (universe 20) in
   for _ = 1 to 200 do
-    let j =
-      Core.Policy.choose (Core.Policy.Random rng) ~p:1 ~m:4 ~free ~try_set
-    in
-    if not (Ostree.mem j free) then Alcotest.failf "%d not free" j;
-    if Ostree.mem j try_set then Alcotest.failf "%d is tried" j
+    let j = Core.Policy.choose (Core.Policy.Random rng) ~p:1 ~m:4 free in
+    if not (Core.Freeset.mem j free) then Alcotest.failf "%d not free" j;
+    if Core.Freeset.try_mem j free then Alcotest.failf "%d is tried" j
   done
 
 let test_empty_pool_rejected () =
@@ -84,18 +79,14 @@ let test_empty_pool_rejected () =
     (Invalid_argument "Policy.choose: FREE \\ TRY is empty") (fun () ->
       ignore
         (Core.Policy.choose Core.Policy.Rank_split ~p:1 ~m:2
-           ~free:(Ostree.of_list [ 1 ])
-           ~try_set:(Ostree.of_list [ 1 ])))
+           (sets ~tried:[ 1 ] (of_list [ 1 ]))))
 
 let test_clamp_under_small_beta () =
   (* β < m regime: |FREE \ TRY| can drop below p; the pick must still
      be a valid element (correctness preserved, §3). *)
-  let free = Ostree.of_list [ 1; 2 ] in
-  let j =
-    Core.Policy.choose Core.Policy.Rank_split ~p:4 ~m:4 ~free
-      ~try_set:Ostree.empty
-  in
-  Alcotest.(check bool) "valid element" true (Ostree.mem j free)
+  let free = of_list [ 1; 2 ] in
+  let j = Core.Policy.choose Core.Policy.Rank_split ~p:4 ~m:4 free in
+  Alcotest.(check bool) "valid element" true (Core.Freeset.mem j free)
 
 let test_work_cost () =
   Alcotest.(check int) "cost" 40

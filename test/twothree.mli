@@ -7,10 +7,9 @@
     propagates splits upward; deletion propagates underflow upward
     with the classic borrow/merge repairs.
 
-    Like {!Rbtree}, this module exists as a drop-in alternative to
-    {!Ostree}, for cross-validation (three independent balancing
-    schemes must agree on every observable) and for the timing races.
-    Use it with the algorithm via [Core.Kk.Make (Twothree)]. *)
+    Like {!Rbtree}, a test fixture: three independent balancing
+    schemes must agree on every observable, and [Core.Kk.Make
+    (Twothree)] runs KKβ with it at the boundary. *)
 
 include Set_intf.S
 
