@@ -43,9 +43,10 @@ let () =
   (* the emulation is the load-bearing part: a peek at its cost *)
   Printf.printf
     "every register operation is a quorum protocol: a write is one\n\
-     broadcast + %d acks; a read is a query round plus a write-back round\n\
-     (the phase that makes reads atomic).  The paper's algorithm is\n\
-     unchanged — only the registers moved from hardware to quorums.\n"
+     broadcast + %d acks; a read is a query round, plus a write-back round\n\
+     (the phase that makes reads atomic) only when the quorum's replies\n\
+     disagree.  The paper's algorithm is unchanged — only the registers\n\
+     moved from hardware to quorums.\n"
     ((servers / 2) + 1);
 
   (* and the iterated algorithm, whose termination flag is genuinely

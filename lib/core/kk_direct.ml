@@ -107,19 +107,28 @@ let run ?flag regs ~policy ~budget ~ledger ~pid ~m ~beta ~cols ~free ~perform =
   in
   loop ()
 
+(* Each level runs KK over the ranks 1..count of its super-jobs, so a
+   level's FREE costs O(count) words whatever span its ids cover; a
+   rank becomes an id only to perform it, and survivors map down to
+   the next level's ranks directly. *)
 let iterative ~hierarchy ~regs ~flag ~ledger ~pid ~m ~beta ~perform =
   let levels = Superjob.num_levels hierarchy in
-  let free = ref (Superjob.ids_at hierarchy 0) in
+  let free = ref (Freeset.interval 1 (Superjob.block_count hierarchy 0)) in
   for level = 0 to levels - 1 do
     let out =
       run ~flag:(flag level) (regs level) ~policy:Policy.Rank_split
         ~budget:max_int ~ledger ~pid ~m ~beta
         ~cols:(Superjob.block_count hierarchy level)
-        ~free:(Freeset.of_set (module Ostree) !free)
-        ~perform:(perform level)
+        ~free:!free
+        ~perform:(fun r -> perform level (Superjob.id_of_rank hierarchy ~level r))
     in
     if level + 1 < levels then
       free :=
-        Superjob.map_down hierarchy ~from_level:level
-          (Ostree.of_list (Freeset.elements out))
+        Freeset.of_set (module Ostree)
+          (Ostree.of_list
+             (List.concat_map
+                (fun r ->
+                  let lo, hi = Superjob.child_ranks hierarchy ~level r in
+                  List.init (hi - lo + 1) (fun i -> lo + i))
+                (Freeset.elements out)))
   done

@@ -79,6 +79,9 @@ val iterative :
     one {!run} with the paper's [Rank_split] rule per level of
     [hierarchy], on level [l]'s registers [regs l] and flag [flag l],
     with each level's output mapped down to the next level's
-    candidate super-jobs ({!Superjob.map_down}, on persistent sets:
-    each level's {!Freeset.t} is built from the mapped set and read
-    back once).  [perform l id] does super-job [id] of level [l]. *)
+    candidate super-jobs (the paper's [map], {!Superjob.map_down}).
+    A level runs over the {e ranks} [1..block_count] of its super-jobs
+    ({!Superjob.id_of_rank}, {!Superjob.child_ranks}), so its FREE
+    costs O(block count) words and its registers hold ranks; the
+    order-preserving renaming leaves every choice of [Rank_split]
+    unchanged.  [perform l id] does super-job [id] of level [l]. *)

@@ -70,6 +70,36 @@ let ids_at t k =
   Array.fold_left (fun acc (lo, _) -> Ostree.add lo acc) Ostree.empty
     (get_level t k).blocks
 
+let id_of_rank t ~level r =
+  let blocks = (get_level t level).blocks in
+  if r < 1 || r > Array.length blocks then
+    invalid_arg "Superjob.id_of_rank: rank out of range";
+  fst blocks.(r - 1)
+
+(* The 1-based rank of block [id] at [level], by binary search on the
+   blocks' sorted ids. *)
+let rank_of_id t ~level id =
+  let blocks = (get_level t level).blocks in
+  let rec search lo hi =
+    if lo > hi then raise Not_found
+    else
+      let mid = (lo + hi) / 2 in
+      let b = fst blocks.(mid) in
+      if b = id then mid + 1
+      else if b < id then search (mid + 1) hi
+      else search lo (mid - 1)
+  in
+  search 0 (Array.length blocks - 1)
+
+let child_ranks t ~level r =
+  if level + 1 >= num_levels t then
+    invalid_arg "Superjob.child_ranks: last level has no children";
+  let lo = id_of_rank t ~level r in
+  let hi = snd (get_level t level).blocks.(r - 1) in
+  let d = level_size t (level + 1) in
+  let first = rank_of_id t ~level:(level + 1) lo in
+  (first, first + ((hi - lo) / d))
+
 let children t ~level ~id =
   if level + 1 >= num_levels t then
     invalid_arg "Superjob.children: last level has no children";

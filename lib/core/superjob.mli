@@ -43,6 +43,18 @@ val interval : t -> level:int -> id:int -> int * int
 val ids_at : t -> int -> Ostree.t
 (** All block ids of level [k]. *)
 
+val id_of_rank : t -> level:int -> int -> int
+(** [id_of_rank t ~level r] is the id of the [r]-th block of [level]
+    (1-based, ascending).  O(1).
+    @raise Invalid_argument unless [1 <= r <= block_count t level]. *)
+
+val child_ranks : t -> level:int -> int -> int * int
+(** [child_ranks t ~level r] is the inclusive range of level [k+1]
+    ranks of the children of [level]'s rank-[r] block: by nesting,
+    the children of a block are consecutive at the next level.
+    O(log n).  @raise Invalid_argument at the last level or on a bad
+    rank. *)
+
 val children : t -> level:int -> id:int -> int list
 (** Ids of the level [k+1] blocks that partition this block,
     ascending.  @raise Invalid_argument at the last level. *)

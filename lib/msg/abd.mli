@@ -3,11 +3,19 @@
     The classic Attiya–Bar-Noy–Dolev construction: a single-writer
     multi-reader atomic register is emulated by [s] replica servers;
     a write stamps the value with the writer's monotone timestamp and
-    waits for a majority of acks; a read queries a majority, adopts
-    the highest-timestamped value, {e writes it back} to a majority
-    (the phase that makes reads linearizable), and returns it.  The
-    emulation is wait-free for the clients as long as a majority of
-    servers stays alive — client crashes never block anyone.
+    waits for a majority of acks; a read queries a majority and adopts
+    the highest-timestamped value.  If the replies of that majority
+    (one per distinct server) all carry the same tag, the read returns
+    at once: the value is already stored at a majority, which is
+    exactly what ABD's write-back phase would establish, so every
+    later read's quorum meets a server holding that tag or a newer
+    one.  Otherwise the read {e writes the value back} to a majority
+    (the phase that makes disagreeing reads linearizable) and then
+    returns it.  KKβ mostly reads registers nobody is writing, so most
+    reads take one round trip.  {!Analysis.Atomicity} checks recorded
+    histories of both paths in the tests.  The emulation is wait-free
+    for the clients as long as a majority of servers stays alive —
+    client crashes never block anyone.
 
     This is the bridge for the paper's closing open question
     (at-most-once "in systems with different means of communication,
@@ -67,8 +75,9 @@ val run :
 
     [duplicate_prob] (default 0) is the per-step probability that the
     channel clones a random in-flight message before the next
-    delivery; quorums count distinct responding servers, so duplicates
-    are harmless (tested).
+    delivery; a phase counts only each server's first reply, both for
+    its quorum and for a read's agreement test, so duplicates are
+    harmless (tested).
 
     [deliver] (default {!Net.deliver_random}) is the channel driver
     invoked once per engine step; substituting it is the seam the

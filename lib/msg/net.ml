@@ -1,5 +1,3 @@
-type 'a envelope = { id : int; src : int; dst : int; body : 'a }
-
 (* Observer notifications: the provenance layer (Obs.Ledger / Span)
    wants to see channel-level causality — which send each delivery
    realized — without the protocol modules threading anything through.
@@ -15,9 +13,14 @@ type 'a t = {
   node_count : int;
   handlers : (src:int -> 'a -> unit) option array; (* 1-based *)
   live : bool array;
-  (* pending messages: a growable array with swap-removal, so the
-     adversary can pick any pending message in O(1) *)
-  mutable buf : 'a envelope option array;
+  (* pending messages: growable parallel arrays with swap-removal, so
+     the adversary can pick any pending message in O(1) and a send
+     allocates nothing here.  [bodies] is created from the first body
+     enqueued (an ['a array] needs an element to start from). *)
+  mutable ids : int array;
+  mutable srcs : int array;
+  mutable dsts : int array;
+  mutable bodies : 'a array;
   mutable len : int;
   mutable delivered : int;
   mutable seq : int; (* send sequence — envelope ids *)
@@ -39,7 +42,10 @@ let create ?(vclocks = false) ~nodes () =
     node_count = nodes;
     handlers = Array.make (nodes + 1) None;
     live = Array.make (nodes + 1) true;
-    buf = Array.make 64 None;
+    ids = Array.make 64 0;
+    srcs = Array.make 64 0;
+    dsts = Array.make 64 0;
+    bodies = [||];
     len = 0;
     delivered = 0;
     seq = 0;
@@ -65,6 +71,8 @@ let set_handler t ~node f =
 
 let set_observer t f = t.observer <- Some f
 
+(* Callers test [t.observer] before building the notification, so a
+   network without an observer allocates none. *)
 let notify t ev = match t.observer with None -> () | Some f -> f ev
 
 let set_journals t sinks =
@@ -109,14 +117,28 @@ let clock t node =
 
 let sent_count t = t.seq
 
-let enqueue t env =
-  if t.len = Array.length t.buf then begin
-    let bigger = Array.make (2 * t.len) None in
-    Array.blit t.buf 0 bigger 0 t.len;
-    t.buf <- bigger
-  end;
-  t.buf.(t.len) <- Some env;
-  t.len <- t.len + 1
+let grow t =
+  let cap = 2 * Array.length t.ids in
+  let widen a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.ids <- widen t.ids 0;
+  t.srcs <- widen t.srcs 0;
+  t.dsts <- widen t.dsts 0;
+  t.bodies <- widen t.bodies t.bodies.(0)
+
+let enqueue t ~id ~src ~dst body =
+  if Array.length t.bodies = 0 then
+    t.bodies <- Array.make (Array.length t.ids) body
+  else if t.len = Array.length t.ids then grow t;
+  let i = t.len in
+  t.ids.(i) <- id;
+  t.srcs.(i) <- src;
+  t.dsts.(i) <- dst;
+  t.bodies.(i) <- body;
+  t.len <- i + 1
 
 let send t ~src ~dst body =
   check t src;
@@ -130,8 +152,8 @@ let send t ~src ~dst body =
       Util.Vclock.tick t.clocks.(src) ~p:src;
       Hashtbl.replace t.msg_clocks id (Util.Vclock.copy t.clocks.(src))
     end;
-    enqueue t { id; src; dst; body };
-    notify t (Sent { id; src; dst });
+    enqueue t ~id ~src ~dst body;
+    if Option.is_some t.observer then notify t (Sent { id; src; dst });
     journal_emit t ~node:src ~name:"net.send" ~peer:dst ~id
   end
 
@@ -147,60 +169,66 @@ let pending t = t.len
 
 let delivered_count t = t.delivered
 
-let take t i =
-  let env = match t.buf.(i) with Some e -> e | None -> assert false in
-  t.len <- t.len - 1;
-  t.buf.(i) <- t.buf.(t.len);
-  t.buf.(t.len) <- None;
-  env
+(* Swap-remove slot [i]: the last pending message moves into it. *)
+let remove t i =
+  let last = t.len - 1 in
+  t.ids.(i) <- t.ids.(last);
+  t.srcs.(i) <- t.srcs.(last);
+  t.dsts.(i) <- t.dsts.(last);
+  t.bodies.(i) <- t.bodies.(last);
+  t.len <- last
 
-let dispatch t env =
+(* Deliver slot [i]: it is removed before the handler runs, so the
+   handler may send freely. *)
+let dispatch t i =
+  let id = t.ids.(i) and src = t.srcs.(i) and dst = t.dsts.(i) in
+  let body = t.bodies.(i) in
+  remove t i;
   t.delivered <- t.delivered + 1;
-  let to_dead = not t.live.(env.dst) in
-  notify t (Delivered { id = env.id; src = env.src; dst = env.dst; to_dead });
+  let to_dead = not t.live.(dst) in
+  if Option.is_some t.observer then notify t (Delivered { id; src; dst; to_dead });
   if not to_dead then begin
     if t.vclocks then begin
       (* a delivery is an action of [dst] causally after the send:
          tick, then join the sender's stamped snapshot *)
-      Util.Vclock.tick t.clocks.(env.dst) ~p:env.dst;
-      (match Hashtbl.find_opt t.msg_clocks env.id with
-      | Some c -> Util.Vclock.join t.clocks.(env.dst) c
+      Util.Vclock.tick t.clocks.(dst) ~p:dst;
+      (match Hashtbl.find_opt t.msg_clocks id with
+      | Some c -> Util.Vclock.join t.clocks.(dst) c
       | None -> ())
     end;
     (* after the join, so the journaled "vc" already covers the send *)
-    journal_emit t ~node:env.dst ~name:"net.recv" ~peer:env.src ~id:env.id;
-    match t.handlers.(env.dst) with
-    | Some f -> f ~src:env.src env.body
+    journal_emit t ~node:dst ~name:"net.recv" ~peer:src ~id;
+    match t.handlers.(dst) with
+    | Some f -> f ~src body
     | None -> invalid_arg "Net: delivery to node without handler"
   end
 
 let deliver_random t rng =
   if t.len = 0 then false
   else begin
-    dispatch t (take t (Util.Prng.int rng t.len));
+    dispatch t (Util.Prng.int rng t.len);
     true
   end
 
 let duplicate_random t rng =
   if t.len = 0 then false
   else begin
-    let env =
-      match t.buf.(Util.Prng.int rng t.len) with
-      | Some e -> e
-      | None -> assert false
-    in
+    let i = Util.Prng.int rng t.len in
+    let id = t.ids.(i) and src = t.srcs.(i) and dst = t.dsts.(i) in
     (* re-send bypassing the liveness check on [src]: the copy is
        already in the channel even if the sender died meanwhile *)
-    enqueue t env;
-    notify t (Duplicated { id = env.id; src = env.src; dst = env.dst });
+    enqueue t ~id ~src ~dst t.bodies.(i);
+    notify t (Duplicated { id; src; dst });
     true
   end
 
 let drop_random t rng =
   if t.len = 0 then false
   else begin
-    let env = take t (Util.Prng.int rng t.len) in
-    notify t (Dropped { id = env.id; src = env.src; dst = env.dst });
+    let i = Util.Prng.int rng t.len in
+    let id = t.ids.(i) and src = t.srcs.(i) and dst = t.dsts.(i) in
+    remove t i;
+    notify t (Dropped { id; src; dst });
     true
   end
 
@@ -210,9 +238,7 @@ let deliver_random_where t rng pred =
     (* uniformly among the eligible pending messages *)
     let count = ref 0 in
     for i = 0 to t.len - 1 do
-      match t.buf.(i) with
-      | Some e -> if pred ~src:e.src ~dst:e.dst then incr count
-      | None -> assert false
+      if pred ~src:t.srcs.(i) ~dst:t.dsts.(i) then incr count
     done;
     if !count = 0 then false
     else begin
@@ -220,19 +246,16 @@ let deliver_random_where t rng pred =
       let chosen = ref (-1) in
       (try
          for i = 0 to t.len - 1 do
-           match t.buf.(i) with
-           | Some e ->
-               if pred ~src:e.src ~dst:e.dst then begin
-                 if !k = 0 then begin
-                   chosen := i;
-                   raise Exit
-                 end;
-                 decr k
-               end
-           | None -> assert false
+           if pred ~src:t.srcs.(i) ~dst:t.dsts.(i) then begin
+             if !k = 0 then begin
+               chosen := i;
+               raise Exit
+             end;
+             decr k
+           end
          done
        with Exit -> ());
-      dispatch t (take t !chosen);
+      dispatch t !chosen;
       true
     end
   end
@@ -240,10 +263,8 @@ let deliver_random_where t rng pred =
 let deliver_oldest t =
   if t.len = 0 then false
   else begin
-    (* index 0 is not strictly the oldest after swap-removals; for the
-       deterministic variant scan for the minimum insertion order is
-       unnecessary — any fixed rule yields a deterministic run, and
-       "slot 0" is one *)
-    dispatch t (take t 0);
+    (* slot 0 is not strictly the oldest after swap-removals; any fixed
+       rule yields a deterministic run, and "slot 0" is one *)
+    dispatch t 0;
     true
   end

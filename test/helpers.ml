@@ -54,3 +54,71 @@ let exit_code = function
   | Unix.WEXITED c -> c
   | Unix.WSIGNALED s -> Alcotest.failf "killed by signal %d" s
   | Unix.WSTOPPED s -> Alcotest.failf "stopped by signal %d" s
+
+(* Recording ABD histories for Analysis.Atomicity: [record h body]
+   wraps a client body's [read]/[write] with one logical clock shared
+   by all clients of the run.  KKβ may write the same value twice, so a
+   write stores [(seq lsl 32) lor v] with a run-wide sequence number
+   and the body still sees [v]; every stored value is then unique per
+   register.  A write whose client crashes stays pending. *)
+type recorded = {
+  r_proc : int;
+  r_reg : int;
+  r_kind : Analysis.Atomicity.kind;
+  r_value : int;
+  r_inv : int;
+  mutable r_resp : int option;
+}
+
+type history = {
+  mutable clock : int;
+  mutable seq : int;
+  mutable ops : recorded list;
+}
+
+let history () = { clock = 0; seq = 0; ops = [] }
+
+let tick h =
+  h.clock <- h.clock + 1;
+  h.clock
+
+let record h (body : Msg.Abd.body) ~pid : Msg.Abd.body =
+ fun ~read ~write ~do_job ->
+  let read reg =
+    let r_inv = tick h in
+    let stored = read reg in
+    h.ops <-
+      { r_proc = pid; r_reg = reg; r_kind = Analysis.Atomicity.Read;
+        r_value = stored; r_inv; r_resp = Some (tick h) }
+      :: h.ops;
+    stored land 0xffff_ffff
+  in
+  let write reg v =
+    h.seq <- h.seq + 1;
+    let stored = (h.seq lsl 32) lor v in
+    let op =
+      { r_proc = pid; r_reg = reg; r_kind = Analysis.Atomicity.Write;
+        r_value = stored; r_inv = tick h; r_resp = None }
+    in
+    h.ops <- op :: h.ops;
+    write reg stored;
+    op.r_resp <- Some (tick h)
+  in
+  body ~read ~write ~do_job
+
+let history_ops h =
+  List.rev_map
+    (fun o ->
+      { Analysis.Atomicity.proc = o.r_proc; reg = o.r_reg; kind = o.r_kind;
+        value = o.r_value; inv = o.r_inv; resp = o.r_resp })
+    h.ops
+
+(* Fails with the first violations when the recorded history is not
+   atomic. *)
+let check_atomic ~name h =
+  match Analysis.Atomicity.check (history_ops h) with
+  | [] -> ()
+  | vs ->
+      Alcotest.failf "%s: %d atomicity violations, first: %s" name
+        (List.length vs)
+        (Format.asprintf "%a" Analysis.Atomicity.pp_violation (List.hd vs))

@@ -26,6 +26,7 @@ let () =
       ("writeall", Test_writeall.suite);
       ("multicore", Test_multicore.suite);
       ("msg", Test_msg.suite);
+      ("atomicity", Test_atomicity.suite);
       ("obs", Test_obs.suite);
       ("flight", Test_flight.suite);
       ("telemetry", Test_telemetry.suite);

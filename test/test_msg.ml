@@ -45,6 +45,26 @@ let test_net_handlers_can_send () =
   while Msg.Net.deliver_oldest net do () done;
   Alcotest.(check int) "pong count" 4 !rounds
 
+(* The pending queue is parallel arrays: with no observer, journal or
+   clocks, a send and a delivery allocate nothing of their own. *)
+let test_net_delivery_allocation_free () =
+  let net : int list Msg.Net.t = Msg.Net.create ~nodes:2 () in
+  let body = [ 1; 2; 3 ] in
+  Msg.Net.set_handler net ~node:2 (fun ~src:_ _ -> ());
+  let rng = Util.Prng.of_int 5 in
+  for _ = 1 to 32 do
+    Msg.Net.send net ~src:1 ~dst:2 body
+  done;
+  let rounds = 100_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Msg.Net.send net ~src:1 ~dst:2 body;
+    ignore (Msg.Net.deliver_random net rng)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  Alcotest.(check int) "all delivered" rounds (Msg.Net.delivered_count net);
+  if words >= 1. then Alcotest.failf "%.2f words per delivery" words
+
 (* ---- ABD registers ---- *)
 
 let run_abd ?crash_plan ?(servers = 3) ?(seed = 1) ~registers bodies =
@@ -121,9 +141,12 @@ let test_abd_survives_minority_server_crash () =
   Alcotest.(check int) "value survives" 9 !got
 
 let test_abd_majority_crash_reports_stuck () =
+  (* both servers crash before the first delivery, so no quorum of
+     replies can ever form (at delivery 1 server 1's reply is already
+     in flight, and two agreeing replies complete a one-round read) *)
   let o =
     run_abd
-      ~crash_plan:[ (1, `Server 1); (1, `Server 2) ]
+      ~crash_plan:[ (0, `Server 1); (0, `Server 2) ]
       ~servers:3 ~registers:1
       [| (fun ~read ~write:_ ~do_job:_ -> ignore (read 1)) |]
   in
@@ -205,7 +228,9 @@ let test_kk_mp_server_minority_crashes () =
   in
   Helpers.check_amo o.Msg.Kk_mp.dos;
   Alcotest.(check int) "both clients done" 2 (List.length o.Msg.Kk_mp.completed);
-  Alcotest.(check int) "all jobs" n (Core.Spec.do_count o.Msg.Kk_mp.dos)
+  let done_ = Core.Spec.do_count o.Msg.Kk_mp.dos in
+  Alcotest.(check int) "jobs done (pinned)" 29 done_;
+  Alcotest.(check bool) "at least n - (beta + m - 2)" true (done_ >= n - (m + m - 2))
 
 let test_abd_mw_register () =
   (* two clients write the same MW register; atomicity: a reader's
@@ -350,8 +375,9 @@ let test_kk_mp_with_duplication () =
 
 (* Seeded ABD runs are deterministic: these deliveries and do-logs pin
    the register-access sequence of the shared KKβ body
-   (Core.Kk_direct), so a change to its order of reads and writes
-   shows up here. *)
+   (Core.Kk_direct) and the ABD read path (one round when the quorum's
+   replies agree, a write-back otherwise), so a change to either shows
+   up here. *)
 let test_kk_mp_pinned () =
   let check name (deliveries, dos) (o : Msg.Kk_mp.outcome) =
     Alcotest.(check int) (name ^ " deliveries") deliveries o.deliveries;
@@ -367,26 +393,26 @@ let test_kk_mp_pinned () =
            ~rng:(rng ()) ()))
     [
       ( 1,
-        ( 941,
-          [ (1, 1); (2, 4); (3, 7); (2, 6); (3, 10); (1, 2); (2, 8); (3, 11);
-            (1, 3); (2, 5); (3, 9) ] ),
-        ( 993,
-          [ (1, 1); (2, 12); (1, 2); (2, 14); (1, 3); (2, 15); (1, 4); (2, 16);
-            (1, 5); (2, 17); (1, 6); (1, 7); (2, 13) ] ) );
-      ( 2,
-        ( 923,
-          [ (2, 4); (1, 1); (3, 7); (2, 6); (3, 10); (1, 2); (3, 11); (2, 8);
-            (1, 3); (3, 9) ] ),
-        ( 1054,
-          [ (1, 1); (2, 12); (1, 2); (2, 14); (1, 3); (2, 13); (1, 4); (2, 15);
-            (2, 16); (1, 5); (2, 18); (1, 6); (2, 19); (1, 7) ] ) );
-      ( 3,
-        ( 1119,
-          [ (2, 4); (3, 7); (1, 1); (2, 6); (3, 10); (1, 2); (1, 3); (2, 5);
-            (3, 11); (3, 12); (2, 9); (1, 8) ] ),
-        ( 1018,
+        ( 575,
+          [ (1, 1); (2, 4); (3, 7); (1, 2); (3, 8); (2, 6); (2, 5); (1, 3);
+            (3, 11); (2, 10); (3, 12) ] ),
+        ( 638,
           [ (2, 12); (1, 1); (2, 14); (1, 2); (1, 3); (2, 15); (1, 4); (2, 16);
-            (2, 17); (1, 5); (2, 18); (1, 6); (2, 13) ] ) );
+            (1, 5); (2, 13); (1, 6); (1, 7); (2, 17) ] ) );
+      ( 2,
+        ( 598,
+          [ (2, 4); (1, 1); (3, 7); (1, 2); (2, 6); (3, 10); (3, 9); (2, 8);
+            (1, 3); (3, 12); (2, 11); (1, 5) ] ),
+        ( 635,
+          [ (2, 12); (1, 1); (1, 2); (2, 13); (1, 3); (1, 4); (2, 15); (1, 5);
+            (2, 16); (2, 17); (1, 6); (2, 18); (1, 7) ] ) );
+      ( 3,
+        ( 568,
+          [ (1, 1); (3, 7); (2, 4); (2, 5); (1, 2); (3, 10); (2, 8); (3, 9);
+            (1, 3); (2, 6); (3, 12) ] ),
+        ( 652,
+          [ (1, 1); (2, 12); (2, 14); (1, 2); (1, 3); (2, 15); (1, 4); (1, 5);
+            (2, 16); (1, 6); (2, 13); (1, 7); (2, 18) ] ) );
     ]
 
 let test_kk_mp_register_layout () =
@@ -399,6 +425,8 @@ let suite =
     Alcotest.test_case "net: crash drops" `Quick test_net_crash_drops;
     Alcotest.test_case "net: handlers can send" `Quick
       test_net_handlers_can_send;
+    Alcotest.test_case "net delivery allocation-free" `Quick
+      test_net_delivery_allocation_free;
     Alcotest.test_case "abd: write/read roundtrip" `Quick
       test_abd_write_read_roundtrip;
     Alcotest.test_case "abd: fresh register reads 0" `Quick

@@ -92,6 +92,27 @@ let test_map_down_exact () =
       (Ostree.equal jobs_before jobs_after)
   done
 
+(* Ranks are the ascending block ids, and a block's child ranks name
+   exactly its children. *)
+let test_ranks_match_ids () =
+  let h = S.build ~n:83 ~sizes:[ 11; 4; 1 ] in
+  for level = 0 to S.num_levels h - 1 do
+    let ids = Ostree.elements (S.ids_at h level) in
+    Alcotest.(check (list int))
+      (Printf.sprintf "level %d ranks" level)
+      ids
+      (List.init (S.block_count h level) (fun i -> S.id_of_rank h ~level (i + 1)));
+    if level + 1 < S.num_levels h then
+      List.iteri
+        (fun i id ->
+          let lo, hi = S.child_ranks h ~level (i + 1) in
+          Alcotest.(check (list int))
+            (Printf.sprintf "level %d block %d children" level id)
+            (S.children h ~level ~id)
+            (List.init (hi - lo + 1) (fun k -> S.id_of_rank h ~level:(level + 1) (lo + k))))
+        ids
+  done
+
 let test_last_level_is_singletons () =
   let h = S.build ~n:20 ~sizes:[ 7; 1 ] in
   let last = S.num_levels h - 1 in
@@ -180,6 +201,8 @@ let suite =
     Alcotest.test_case "children at last level rejected" `Quick
       test_children_last_level_rejected;
     Alcotest.test_case "map_down is exact" `Quick test_map_down_exact;
+    Alcotest.test_case "ranks match ids and children" `Quick
+      test_ranks_match_ids;
     Alcotest.test_case "last level is singletons" `Quick
       test_last_level_is_singletons;
     Alcotest.test_case "equal sizes give identity level" `Quick
