@@ -10,7 +10,8 @@
    empirically under adversarial (uniformly random) message delivery,
    and reports message complexity: deliveries per register operation
    are Θ(s) (one broadcast + quorum per phase), so deliveries/job is
-   Θ(m·s) — the measured column. *)
+   Θ(m·s) — the measured column, recorded in the snapshot for the
+   failure-free rows so a regression of the message cost is flagged. *)
 
 open Exp_common
 
@@ -21,7 +22,8 @@ let run () =
        f_clients < m and f_servers < s/2 (paper Section 8 open question, \
        via ABD)";
   let all_ok = ref true in
-  let row ?(duplicate_prob = 0.) ~label ~n ~m ~servers ~crash_plan ~seeds:k () =
+  let row ?(duplicate_prob = 0.) ?metric ~label ~n ~m ~servers ~crash_plan
+      ~seeds:k () =
     let worst = ref max_int and safe = ref true and deliveries = ref 0 in
     let stuck = ref 0 in
     List.iter
@@ -41,6 +43,11 @@ let run () =
       (seeds k);
     let bound = n - (m + m - 2) in
     if (not !safe) || !worst < bound || !stuck > 0 then all_ok := false;
+    let per_job = float_of_int !deliveries /. float_of_int (k * n) in
+    Option.iter
+      (fun name ->
+        record_metric ~direction:Obs.Snapshot.Lower_is_better name per_job)
+      metric;
     [
       S label;
       I n;
@@ -50,7 +57,7 @@ let run () =
       I !worst;
       I bound;
       I !stuck;
-      F (float_of_int !deliveries /. float_of_int (k * n));
+      F per_job;
     ]
   in
   (* the full iterated algorithm needs a genuinely multi-writer flag
@@ -85,8 +92,10 @@ let run () =
   param_int "seeds" k;
   let rows =
     [
-      row ~label:"failure-free" ~n:60 ~m:3 ~servers:3 ~crash_plan:[] ~seeds:k ();
-      row ~label:"failure-free" ~n:60 ~m:4 ~servers:5 ~crash_plan:[] ~seeds:k ();
+      row ~metric:"deliveries_per_job_m3_s3" ~label:"failure-free" ~n:60 ~m:3
+        ~servers:3 ~crash_plan:[] ~seeds:k ();
+      row ~metric:"deliveries_per_job_m4_s5" ~label:"failure-free" ~n:60 ~m:4
+        ~servers:5 ~crash_plan:[] ~seeds:k ();
       row ~label:"m-1 client crashes" ~n:60 ~m:3 ~servers:3
         ~crash_plan:[ (150, `Client 1); (400, `Client 2) ]
         ~seeds:k ();

@@ -15,8 +15,9 @@
 
    2. Cost: provenance annotations are pure trace decorations — with
       a [`Silent] trace and the null probe, a provenance-enabled run
-      does the same metered work as a plain one and its median
-      wall-clock overhead on the E4 work grid stays under 5%. *)
+      does the same metered work as a plain one and its CPU-time
+      overhead on the E4 work grid stays under 5% (median of paired
+      on/off ratios, worst grid row; [Exp_common.overhead_row]). *)
 
 open Exp_common
 
@@ -53,21 +54,9 @@ let check_trace ~label ~n ~m ~beta trace =
            ^ " FIRED");
     ] )
 
-(* CPU time of a batch of identical runs, [`Silent] trace and null
-   probe.  Batching amortises Sys.time's ~1ms granularity over runs
-   that individually take only a few ms; taking the min over reps is
-   the standard robust estimator against scheduler noise. *)
-let batch = 4
-
-let time_batch ~provenance ~n ~m ~beta =
-  let d = ref 0 in
-  let t0 = Sys.time () in
-  for _ = 1 to batch do
-    let s = Core.Harness.kk ~trace_level:`Silent ~provenance ~n ~m ~beta () in
-    d := s.Core.Harness.do_count
-  done;
-  let dt = Sys.time () -. t0 in
-  (dt, !d)
+let kk_do_count ~provenance ~n ~m ~beta () =
+  (Core.Harness.kk ~trace_level:`Silent ~provenance ~n ~m ~beta ())
+    .Core.Harness.do_count
 
 let run () =
   section ~id:"E14" ~title:"provenance ledger: agreement and overhead"
@@ -179,31 +168,20 @@ let run () =
     (if mutant_caught then 1. else 0.);
   (* -- 2. probe overhead on the E4 work grid -- *)
   Printf.printf "\n  probe overhead (`Silent trace, null probe, m=4):\n";
-  let reps = 7 in
   let m = 4 in
   let worst_overhead = ref 0. in
   let overhead_rows =
     List.map
       (fun n ->
         let beta = m in
-        (* warm up allocators/caches, then interleave off/on reps so
-           drift hits both sides equally *)
-        ignore (time_batch ~provenance:false ~n ~m ~beta);
-        ignore (time_batch ~provenance:true ~n ~m ~beta);
-        let offs = ref [] and ons = ref [] in
-        for _ = 1 to reps do
-          let off, d_off = time_batch ~provenance:false ~n ~m ~beta in
-          let on_, d_on = time_batch ~provenance:true ~n ~m ~beta in
-          assert (d_off = d_on);
-          offs := off :: !offs;
-          ons := on_ :: !ons
-        done;
-        let off = List.fold_left min infinity !offs
-        and on_ = List.fold_left min infinity !ons in
-        let pct = max 0. (100. *. ((on_ /. off) -. 1.)) in
-        worst_overhead := max !worst_overhead pct;
-        [ I n; I m; F (off /. float_of_int batch *. 1e3);
-          F (on_ /. float_of_int batch *. 1e3); F pct ])
+        let o =
+          overhead_row
+            ~off:(kk_do_count ~provenance:false ~n ~m ~beta)
+            ~on_:(kk_do_count ~provenance:true ~n ~m ~beta)
+            ()
+        in
+        worst_overhead := max !worst_overhead o.pct;
+        overhead_cells ~n ~m o)
       (if_smoke [ 256; 512 ] [ 256; 512; 1024 ])
   in
   table

@@ -138,57 +138,18 @@ let golden_plan name =
 
 (* ---- 3. probe overhead ---- *)
 
-(* CPU time of a batch of identical [`Silent] runs, monitor probe on
-   vs off (each run gets a fresh monitor, so its creation cost is in
-   the measured side).  [`Silent] is the harshest denominator: the
-   bare executor step is ~100ns, so every nanosecond the probe adds
-   per event is visible.  Batching amortises timer granularity and
-   per-run setup. *)
-let time_batch ~batch ~monitored ~n ~m ~beta =
-  Gc.minor ();
-  let d = ref 0 in
-  let t0 = Sys.time () in
-  for _ = 1 to batch do
-    let probe =
-      if monitored then
-        Some (Obs.Bridge.monitor_probe (Obs.Monitor.create ~n ~m ~beta ()))
-      else None
-    in
-    let s = Core.Harness.kk ~trace_level:`Silent ?probe ~n ~m ~beta () in
-    d := s.Core.Harness.do_count
-  done;
-  let dt = Sys.time () -. t0 in
-  (dt, !d)
-
-(* One grid row: the median of paired on/off ratios, measured in
-   alternating order so clock-frequency drift and GC inheritance hit
-   both sides equally.  The median (not min) of ratios resists the
-   multi-second contention bursts of shared runners, which inflate
-   whichever side they land on. *)
-let overhead_reps = 8
-
-let row_overhead ~batch ~n ~m ~beta =
-  ignore (time_batch ~batch ~monitored:false ~n ~m ~beta);
-  ignore (time_batch ~batch ~monitored:true ~n ~m ~beta);
-  let off_best = ref infinity and on_best = ref infinity in
-  let ratios =
-    List.init overhead_reps (fun r ->
-        let first = r mod 2 = 0 in
-        let a, da = time_batch ~batch ~monitored:(not first) ~n ~m ~beta in
-        let b, db = time_batch ~batch ~monitored:first ~n ~m ~beta in
-        assert (da = db);
-        let off, on_ = if first then (a, b) else (b, a) in
-        off_best := min !off_best off;
-        on_best := min !on_best on_;
-        on_ /. off)
+(* One [`Silent] run, monitor probe on or off (each run gets a fresh
+   monitor, so its creation cost is in the measured side).  [`Silent]
+   is the harshest denominator: the bare executor step is ~100ns, so
+   every nanosecond the probe adds per event is visible. *)
+let kk_do_count ~monitored ~n ~m ~beta () =
+  let probe =
+    if monitored then
+      Some (Obs.Bridge.monitor_probe (Obs.Monitor.create ~n ~m ~beta ()))
+    else None
   in
-  let sorted = List.sort compare ratios in
-  let median =
-    (List.nth sorted ((overhead_reps - 1) / 2)
-    +. List.nth sorted (overhead_reps / 2))
-    /. 2.
-  in
-  (100. *. (median -. 1.), !off_best, !on_best)
+  (Core.Harness.kk ~trace_level:`Silent ?probe ~n ~m ~beta ())
+    .Core.Harness.do_count
 
 let run () =
   section ~id:"E16" ~title:"online telemetry: sketches, monitors, overhead"
@@ -353,18 +314,19 @@ let run () =
   (* -- 3. monitor-probe overhead on the E4 work grid -- *)
   Printf.printf "\n  monitor-probe overhead (`Silent trace, m=4):\n";
   let m = 4 in
-  let batch = if_smoke 16 32 in
   let best_overhead = ref infinity in
   let overhead_rows =
     List.map
       (fun n ->
         let beta = m in
-        let pct, off, on_ = row_overhead ~batch ~n ~m ~beta in
-        let pct = max 0. pct in
-        best_overhead := min !best_overhead pct;
-        [ I n; I m;
-          F (off /. float_of_int batch *. 1e3);
-          F (on_ /. float_of_int batch *. 1e3); F pct ])
+        let o =
+          overhead_row
+            ~off:(kk_do_count ~monitored:false ~n ~m ~beta)
+            ~on_:(kk_do_count ~monitored:true ~n ~m ~beta)
+            ()
+        in
+        best_overhead := min !best_overhead o.pct;
+        overhead_cells ~n ~m o)
       (if_smoke [ 256; 512 ] [ 256; 512; 1024 ])
   in
   table

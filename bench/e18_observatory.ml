@@ -5,7 +5,8 @@
    1. Cost: leaving a Runtime_events consumer attached to [`Silent]
       KK runs — collection started, a custom phase span per run, a
       poll per run — costs < 5% CPU time (median of paired on/off
-      ratios on the E4 work grid, best row: E16's methodology).
+      ratios on the E4 work grid, best row: the estimator E14, E16 and
+      E19 share).
 
    2. Attribution: the Gcstat probe sees exactly the executor's event
       stream (one sample per recorded event) and attributes every
@@ -23,67 +24,32 @@ open Exp_common
 
 (* ---- 1. Runtime_events consumer overhead ---- *)
 
-(* CPU time of a batch of identical [`Silent] runs, instrumented vs
-   not.  The on side carries the steady-state protocol a soak actually
-   pays per run: collection running, one custom span per run, one poll
-   per run.  The off side pauses collection, so its writers no-op.
-   One consumer lives for the whole row — a soak attaches once, and a
-   cursor created inside the measurement would fault its ring pages
-   into the timed region (measured at ~5% by itself, swamping the
+(* One row of [Exp_common.overhead_row]: [`Silent] runs, instrumented
+   vs not.  The on side carries the steady-state protocol a soak
+   actually pays per run: collection running, one custom span per run,
+   one poll per run.  The off side pauses collection, so its writers
+   no-op.  One consumer lives for the whole row — a soak attaches once,
+   and a cursor created inside the measurement would fault its ring
+   pages into the timed region (measured at ~5% by itself, swamping the
    per-run cost it brackets). *)
-let time_batch ~re ~batch ~instrumented ~n ~m ~beta =
-  if instrumented then Obs.Rtevents.resume () else Obs.Rtevents.pause ();
-  Gc.minor ();
-  let d = ref 0 in
-  let t0 = Sys.time () in
-  if instrumented then
-    for _ = 1 to batch do
-      let s =
-        Obs.Rtevents.with_span "e18.run" (fun () ->
-            Core.Harness.kk ~trace_level:`Silent ~n ~m ~beta ())
-      in
-      ignore (Obs.Rtevents.poll re);
-      d := s.Core.Harness.do_count
-    done
-  else
-    for _ = 1 to batch do
-      let s = Core.Harness.kk ~trace_level:`Silent ~n ~m ~beta () in
-      d := s.Core.Harness.do_count
-    done;
-  let dt = Sys.time () -. t0 in
-  if instrumented then Obs.Rtevents.pause ();
-  (dt, !d)
-
-(* E16's estimator, verbatim: alternating order, median of paired
-   ratios per row, min over rows. *)
-let overhead_reps = 8
-
-let row_overhead ~batch ~n ~m ~beta =
+let row_overhead ~n ~m ~beta =
   let re = Obs.Rtevents.start () in
-  ignore (time_batch ~re ~batch ~instrumented:false ~n ~m ~beta);
-  ignore (time_batch ~re ~batch ~instrumented:true ~n ~m ~beta);
-  let off_best = ref infinity and on_best = ref infinity in
-  let ratios =
-    List.init overhead_reps (fun r ->
-        let first = r mod 2 = 0 in
-        let a, da =
-          time_batch ~re ~batch ~instrumented:(not first) ~n ~m ~beta
-        in
-        let b, db = time_batch ~re ~batch ~instrumented:first ~n ~m ~beta in
-        assert (da = db);
-        let off, on_ = if first then (a, b) else (b, a) in
-        off_best := min !off_best off;
-        on_best := min !on_best on_;
-        on_ /. off)
+  let kk () =
+    (Core.Harness.kk ~trace_level:`Silent ~n ~m ~beta ()).Core.Harness.do_count
+  in
+  let o =
+    overhead_row
+      ~prepare:(fun on ->
+        if on then Obs.Rtevents.resume () else Obs.Rtevents.pause ())
+      ~off:kk
+      ~on_:(fun () ->
+        let d = Obs.Rtevents.with_span "e18.run" kk in
+        ignore (Obs.Rtevents.poll re);
+        d)
+      ()
   in
   ignore (Obs.Rtevents.stop re);
-  let sorted = List.sort compare ratios in
-  let median =
-    (List.nth sorted ((overhead_reps - 1) / 2)
-    +. List.nth sorted (overhead_reps / 2))
-    /. 2.
-  in
-  (100. *. (median -. 1.), !off_best, !on_best)
+  o
 
 (* ---- 3. synthetic histories with known ground truth ---- *)
 
@@ -112,20 +78,15 @@ let run () =
   (* -- 1. consumer overhead on the E4 work grid -- *)
   Printf.printf "  Runtime_events consumer overhead (`Silent trace, m=4):\n";
   let m = 4 in
-  let batch = if_smoke 16 32 in
-  param_int "batch" batch;
+  param_int "min_batch_ms" (int_of_float (min_batch_seconds *. 1e3));
   param_int "reps" overhead_reps;
   let best_overhead = ref infinity in
   let overhead_rows =
     List.map
       (fun n ->
-        let beta = m in
-        let pct, off, on_ = row_overhead ~batch ~n ~m ~beta in
-        let pct = max 0. pct in
-        best_overhead := min !best_overhead pct;
-        [ I n; I m;
-          F (off /. float_of_int batch *. 1e3);
-          F (on_ /. float_of_int batch *. 1e3); F pct ])
+        let o = row_overhead ~n ~m ~beta:m in
+        best_overhead := min !best_overhead o.pct;
+        overhead_cells ~n ~m o)
       (if_smoke [ 256; 512 ] [ 256; 512; 1024 ])
   in
   table

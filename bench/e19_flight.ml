@@ -7,7 +7,8 @@
       compact binary event encoding straight into a bounded
       [Obs.Flight]) to a [`Silent] run costs < 5% CPU time on the E4
       work grid (median of paired on/off ratios, best grid row, the
-      E16 estimator) — cheap enough to leave on in every run.
+      estimator E14, E16 and E18 share) — cheap enough to leave on in
+      every run.
 
    2. Codec: [decode (encode x) = x] over a large deterministic corpus
       of both payload shapes (compact executor events and generic
@@ -22,47 +23,14 @@
 
 open Exp_common
 
-(* ---- 1. write-path overhead (the E16 paired-median estimator) ---- *)
+(* ---- 1. write-path overhead ([Exp_common.overhead_row]) ---- *)
 
-let time_batch ~batch ~journaled ~n ~m ~beta =
-  Gc.minor ();
-  let d = ref 0 in
-  let t0 = Sys.time () in
-  for _ = 1 to batch do
-    let probe =
-      if journaled then Some (Obs.Journal.probe (Obs.Flight.create ()))
-      else None
-    in
-    let s = Core.Harness.kk ~trace_level:`Silent ?probe ~n ~m ~beta () in
-    d := s.Core.Harness.do_count
-  done;
-  let dt = Sys.time () -. t0 in
-  (dt, !d)
-
-let overhead_reps = 8
-
-let row_overhead ~batch ~n ~m ~beta =
-  ignore (time_batch ~batch ~journaled:false ~n ~m ~beta);
-  ignore (time_batch ~batch ~journaled:true ~n ~m ~beta);
-  let off_best = ref infinity and on_best = ref infinity in
-  let ratios =
-    List.init overhead_reps (fun r ->
-        let first = r mod 2 = 0 in
-        let a, da = time_batch ~batch ~journaled:(not first) ~n ~m ~beta in
-        let b, db = time_batch ~batch ~journaled:first ~n ~m ~beta in
-        assert (da = db);
-        let off, on_ = if first then (a, b) else (b, a) in
-        off_best := min !off_best off;
-        on_best := min !on_best on_;
-        on_ /. off)
+let kk_do_count ~journaled ~n ~m ~beta () =
+  let probe =
+    if journaled then Some (Obs.Journal.probe (Obs.Flight.create ())) else None
   in
-  let sorted = List.sort compare ratios in
-  let median =
-    (List.nth sorted ((overhead_reps - 1) / 2)
-    +. List.nth sorted (overhead_reps / 2))
-    /. 2.
-  in
-  (100. *. (median -. 1.), !off_best, !on_best)
+  (Core.Harness.kk ~trace_level:`Silent ?probe ~n ~m ~beta ())
+    .Core.Harness.do_count
 
 (* ---- 2. codec corpus: both payload shapes, deterministic ---- *)
 
@@ -131,19 +99,20 @@ let run () =
   (* -- 1. journal-probe overhead on the E4 work grid -- *)
   Printf.printf "  journal-probe overhead (`Silent trace, m=4):\n";
   let m = 4 in
-  let batch = if_smoke 16 32 in
-  param_int "batch" batch;
+  param_int "min_batch_ms" (int_of_float (min_batch_seconds *. 1e3));
   let best_overhead = ref infinity in
   let overhead_rows =
     List.map
       (fun n ->
         let beta = m in
-        let pct, off, on_ = row_overhead ~batch ~n ~m ~beta in
-        let pct = max 0. pct in
-        best_overhead := min !best_overhead pct;
-        [ I n; I m;
-          F (off /. float_of_int batch *. 1e3);
-          F (on_ /. float_of_int batch *. 1e3); F pct ])
+        let o =
+          overhead_row
+            ~off:(kk_do_count ~journaled:false ~n ~m ~beta)
+            ~on_:(kk_do_count ~journaled:true ~n ~m ~beta)
+            ()
+        in
+        best_overhead := min !best_overhead o.pct;
+        overhead_cells ~n ~m o)
       (if_smoke [ 256; 512 ] [ 256; 512; 1024 ])
   in
   table

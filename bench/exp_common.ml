@@ -128,3 +128,86 @@ let kk_random_run ?(provenance = false) ~seed ~n ~m ~beta ~f () =
   Core.Harness.kk
     ~scheduler:(Shm.Schedule.random (Util.Prng.split rng))
     ~adversary ~trace_level:`Outcomes ~provenance ~n ~m ~beta ()
+
+(* ---- probe overhead: the one estimator of E14, E16, E18 and E19 ---- *)
+
+(* CPU time of one call of [run] from an empty minor heap, and its
+   result (a digest such as the do count, so both sides can be checked
+   to do the same work). *)
+let time_run run =
+  Gc.minor ();
+  let t0 = Sys.time () in
+  let d = run () in
+  (Sys.time () -. t0, d)
+
+(* A batch runs for at least this much CPU time, so that neither the
+   clock's granularity nor one slow call dominates a ratio. *)
+let min_batch_seconds = 0.05
+
+(* The smallest power of two of calls of [run] that take
+   [min_batch_seconds]; the doubling doubles as the warm-up. *)
+let calibrate_batch run =
+  let rec go batch =
+    let dt = ref 0. in
+    for _ = 1 to batch do
+      dt := !dt +. fst (time_run run)
+    done;
+    if !dt >= min_batch_seconds || batch >= 1 lsl 20 then batch
+    else go (2 * batch)
+  in
+  go 1
+
+type overhead = {
+  pct : float;  (** median of paired on/off ratios, as a percentage over 1 *)
+  off_ms : float;  (** fastest off batch, per call *)
+  on_ms : float;  (** fastest on batch, per call *)
+}
+
+let overhead_reps = 8
+
+(* One grid row: [off] and [on_] run the same workload without and with
+   the probe under test, and [prepare on] (default: nothing) runs
+   untimed before each call of that side.  Each of [overhead_reps]
+   pairs of batches interleaves its off and on calls one by one,
+   alternating which goes first, so the shared host's contention
+   bursts and clock-frequency swings, which last from milliseconds to
+   seconds, land on both sides of a pair alike; the median of the
+   paired on/off ratios then discards the pairs a burst still
+   skewed.  Alternating whole batches instead let one burst inflate
+   one side, and read ±5% on a 2-core host. *)
+let overhead_row ?(prepare = ignore) ~off ~on_ () =
+  let side on () =
+    prepare on;
+    (if on then on_ else off) ()
+  in
+  let batch = calibrate_batch (side false) in
+  ignore (calibrate_batch (side true));
+  let off_best = ref infinity and on_best = ref infinity in
+  let ratios =
+    List.init overhead_reps (fun r ->
+        let t_off = ref 0. and t_on = ref 0. in
+        for i = 1 to batch do
+          let on_first = (r + i) mod 2 = 0 in
+          let a, da = time_run (side on_first) in
+          let b, db = time_run (side (not on_first)) in
+          assert (da = db);
+          let x_on, x_off = if on_first then (a, b) else (b, a) in
+          t_on := !t_on +. x_on;
+          t_off := !t_off +. x_off
+        done;
+        off_best := min !off_best !t_off;
+        on_best := min !on_best !t_on;
+        !t_on /. !t_off)
+  in
+  let sorted = Array.of_list (List.sort compare ratios) in
+  let median =
+    (sorted.((overhead_reps - 1) / 2) +. sorted.(overhead_reps / 2)) /. 2.
+  in
+  let per_call s = s /. float_of_int batch *. 1e3 in
+  {
+    pct = max 0. (100. *. (median -. 1.));
+    off_ms = per_call !off_best;
+    on_ms = per_call !on_best;
+  }
+
+let overhead_cells ~n ~m o = [ I n; I m; F o.off_ms; F o.on_ms; F o.pct ]

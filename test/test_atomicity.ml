@@ -286,6 +286,90 @@ let test_writer_readers_atomic () =
     Helpers.check_atomic ~name:(Printf.sprintf "seed %d" seed) h
   done
 
+(* KKβ's own registers on real domains: [Kk_direct.run] on two domains
+   over [Atomic_mem.vector] (next, registers 1..m) and [Atomic_mem.log]
+   (done, register m + (q-1)·n + c for cell (q, c)), every access
+   stamped at invocation and response from one fetch-and-add clock.
+   A process may write the same job to [next] twice, so each domain
+   tags its next values [(seq lsl 32) lor v]; a done cell is written
+   once.  Each domain keeps its own op list; the lists are merged
+   after join. *)
+let multicore_history ~seed ~n =
+  let m = 2 in
+  let module Am = Multicore.Atomic_mem in
+  let next = Am.vector ~len:m ~init:0 and done_l = Am.log ~rows:m ~cols:n in
+  let clock = Atomic.make 0 and ready = Atomic.make 0 in
+  let body pid () =
+    let ops = ref [] and seq = ref 0 in
+    let stamp () = Atomic.fetch_and_add clock 1 in
+    let access ~reg ~kind ~value ~inv =
+      let resp = stamp () in
+      ops := { A.proc = pid; reg; kind; value; inv; resp = Some resp } :: !ops
+    in
+    let done_reg q c = m + ((q - 1) * n) + c in
+    let regs =
+      {
+        Core.Kk_direct.read_next =
+          (fun q ->
+            let inv = stamp () in
+            let v = Am.vget next q in
+            access ~reg:q ~kind:A.Read ~value:v ~inv;
+            v land 0xffff_ffff);
+        write_next =
+          (fun v ->
+            incr seq;
+            let v = (!seq lsl 32) lor v in
+            let inv = stamp () in
+            Am.vset next pid v;
+            access ~reg:pid ~kind:A.Write ~value:v ~inv);
+        read_done =
+          (fun q c ->
+            let inv = stamp () in
+            let v = Am.lget done_l q c in
+            access ~reg:(done_reg q c) ~kind:A.Read ~value:v ~inv;
+            v);
+        write_done =
+          (fun c v ->
+            let inv = stamp () in
+            Am.lappend done_l pid c v;
+            access ~reg:(done_reg pid c) ~kind:A.Write ~value:v ~inv);
+      }
+    in
+    let policy =
+      if seed = 0 then Core.Policy.Rank_split
+      else Core.Policy.Random (Util.Prng.of_int ((10 * seed) + pid))
+    in
+    let jobs = ref [] in
+    (* start together, so the two loops overlap *)
+    Atomic.incr ready;
+    while Atomic.get ready < m do
+      Domain.cpu_relax ()
+    done;
+    ignore
+      (Core.Kk_direct.run regs ~policy ~budget:max_int
+         ~ledger:(Shm.Metrics.create ~m) ~pid ~m ~beta:m ~cols:n
+         ~free:(Core.Freeset.interval 1 n)
+         ~perform:(fun j -> jobs := (pid, j) :: !jobs));
+    (!ops, !jobs)
+  in
+  let results =
+    List.map Domain.join (List.init m (fun i -> Domain.spawn (body (i + 1))))
+  in
+  (List.concat_map fst results, List.concat_map snd results)
+
+let test_multicore_atomic () =
+  List.iter
+    (fun (seed, n) ->
+      let ops, dos = multicore_history ~seed ~n in
+      Helpers.check_amo dos;
+      match A.check ops with
+      | [] -> ()
+      | v :: _ as vs ->
+          Alcotest.failf "seed %d n %d: %d atomicity violations, first: %s"
+            seed n (List.length vs)
+            (Format.asprintf "%a" A.pp_violation v))
+    [ (0, 64); (0, 2000); (1, 500); (2, 500); (3, 2000) ]
+
 let suite =
   [
     Alcotest.test_case "atomic histories pass" `Quick test_atomic_history;
@@ -301,4 +385,6 @@ let suite =
     Alcotest.test_case "abd: writer and readers atomic" `Quick
       test_writer_readers_atomic;
     Alcotest.test_case "no-write-back mutant caught" `Quick test_mutant_caught;
+    Alcotest.test_case "multicore: kk on two domains atomic" `Quick
+      test_multicore_atomic;
   ]

@@ -1,17 +1,83 @@
 (* Tests for the real-parallelism runtime (experiment E9): the same
    KKβ algorithm on OCaml 5 domains with atomic registers. *)
 
+module Am = Multicore.Atomic_mem
+
 let test_atomic_mem () =
-  let v = Multicore.Atomic_mem.vector ~len:3 ~init:0 in
-  Multicore.Atomic_mem.vset v 2 9;
-  Alcotest.(check int) "vector rw" 9 (Multicore.Atomic_mem.vget v 2);
+  let v = Am.vector ~len:3 ~init:0 in
+  Am.vset v 2 9;
+  Alcotest.(check int) "vector rw" 9 (Am.vget v 2);
   Alcotest.check_raises "vector bounds"
     (Invalid_argument "Atomic_mem: vector index out of range") (fun () ->
-      ignore (Multicore.Atomic_mem.vget v 4));
-  let m = Multicore.Atomic_mem.matrix ~rows:2 ~cols:3 ~init:0 in
-  Multicore.Atomic_mem.mset m 2 3 7;
-  Alcotest.(check int) "matrix rw" 7 (Multicore.Atomic_mem.mget m 2 3);
-  Alcotest.(check int) "cols" 3 (Multicore.Atomic_mem.mcols m)
+      ignore (Am.vget v 4));
+  let l = Am.log ~rows:2 ~cols:3 in
+  Alcotest.(check int) "unpublished cell reads 0" 0 (Am.lget l 2 1);
+  Am.lappend l 2 1 7;
+  Am.lappend l 2 2 8;
+  Alcotest.(check (list int)) "row 2 reads its prefix" [ 7; 8; 0 ]
+    (List.map (Am.lget l 2) [ 1; 2; 3 ]);
+  Alcotest.(check (list int)) "row 1 untouched" [ 0; 0; 0 ]
+    (List.map (Am.lget l 1) [ 1; 2; 3 ]);
+  Am.lappend l 1 1 5;
+  Alcotest.(check (pair int int)) "rows independent" (5, 7)
+    (Am.lget l 1 1, Am.lget l 2 1);
+  let not_next = Invalid_argument "Atomic_mem.lappend: not the next column" in
+  Alcotest.check_raises "append skips a column" not_next (fun () ->
+      Am.lappend l 1 3 6);
+  Alcotest.check_raises "append rewrites a column" not_next (fun () ->
+      Am.lappend l 2 2 6);
+  Alcotest.(check int) "failed appends change nothing" 8 (Am.lget l 2 2);
+  Alcotest.check_raises "log bounds"
+    (Invalid_argument "Atomic_mem: log index out of range") (fun () ->
+      ignore (Am.lget l 3 1))
+
+(* One domain appends a row while another polls it in descending
+   column order until the writer is done.  Every cell read must be 0 or
+   exactly the value written there, a scan must see a published prefix
+   (no 0 below a nonzero cell), the prefix never shrinks from one scan
+   to the next, and after join every cell reads its value. *)
+let test_log_two_domains () =
+  let cols = 20_000 in
+  let value c = (3 * c) + 1 in
+  let l = Am.log ~rows:1 ~cols in
+  let go = Atomic.make false and finished = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () ->
+            for c = 1 to cols do
+              Am.lappend l 1 c (value c)
+            done))
+  in
+  Atomic.set go true;
+  let seen = ref 0 and scans = ref 0 and last = ref false in
+  while not !last do
+    last := Atomic.get finished;
+    incr scans;
+    let top = ref 0 in
+    (* probe a window above the last prefix seen, then check below it *)
+    for c = min cols (!seen + 64) downto 1 do
+      let x = Am.lget l 1 c in
+      if x <> 0 && x <> value c then
+        Alcotest.failf "cell %d read %d, wrote %d" c x (value c);
+      if x <> 0 && !top = 0 then top := c;
+      if x = 0 && !top > 0 then
+        Alcotest.failf "scan %d: cell %d reads 0 below published cell %d"
+          !scans c !top;
+      if x = 0 && c <= !seen then
+        Alcotest.failf "scan %d: cell %d reads 0 after it read %d" !scans c
+          (value c)
+    done;
+    seen := max !seen !top
+  done;
+  Domain.join writer;
+  for c = 1 to cols do
+    if Am.lget l 1 c <> value c then Alcotest.failf "cell %d lost" c
+  done
 
 let test_amo_on_domains () =
   (* several real-parallel runs; at-most-once must hold in all *)
@@ -130,6 +196,7 @@ let test_validation () =
 let suite =
   [
     Alcotest.test_case "atomic memory" `Quick test_atomic_mem;
+    Alcotest.test_case "log on two domains" `Quick test_log_two_domains;
     Alcotest.test_case "amo on real domains" `Slow test_amo_on_domains;
     Alcotest.test_case "effectiveness on real domains" `Slow
       test_effectiveness_on_domains;
