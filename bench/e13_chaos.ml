@@ -48,7 +48,7 @@ let run () =
   let restarts = ref 0 in
   (* -- 1. shared-memory soak, correct algorithm: expect zero -- *)
   let soak_row ~label ~seed ~count ~n ~m ~beta =
-    let s = Fault.Chaos.soak ~seed ~count ~recovery_every:4 ~n ~m ~beta () in
+    let s = Fault.Chaos.soak ~seed ~count ~n ~m ~beta () in
     violations := !violations + s.failures;
     plans := !plans + s.runs;
     recovery_plans := !recovery_plans + s.recovery_runs;

@@ -2048,8 +2048,9 @@ let trace_cmd =
   let jsonl_of_record r =
     J.to_string ~minify:true (Obs.Sink.record_to_json r)
   in
-  (* non-executor records (counters, net.send/net.recv, bench marks)
-     ride into the Chrome document through the ?extra seam *)
+  (* generic records (e.g. multicore mc.do instants) are not executor
+     events: they ride into the Chrome document through the ?extra
+     seam *)
   let chrome_of_record (r : Obs.Sink.record) =
     let base =
       [
@@ -2102,10 +2103,8 @@ let trace_cmd =
           let extra =
             List.filter_map
               (function
-                | Obs.Journal.Record r
-                  when Obs.Journal.event_of_record r = None ->
-                    Some (chrome_of_record r)
-                | _ -> None)
+                | Obs.Journal.Record r -> Some (chrome_of_record r)
+                | Obs.Journal.Event _ -> None)
               items
           in
           let doc =
@@ -2269,10 +2268,7 @@ let trace_cmd =
             merged
     in
     let in_args =
-      let doc =
-        "A journal to merge (repeatable: one per multicore domain or \
-         Msg.Net node)."
-      in
+      let doc = "A journal to merge (repeatable: one per multicore domain)." in
       Arg.(non_empty & opt_all string [] & info [ "in" ] ~docv:"PATH" ~doc)
     in
     let out =
@@ -2283,18 +2279,15 @@ let trace_cmd =
       Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
     in
     let doc =
-      "Merge k per-domain/per-node journals into one causally consistent \
-       stream: vector-clocked records (Msg.Net) are ordered by \
-       happens-before, everything else tie-breaks deterministically on \
-       (ts, pid, source) — repeated merges of the same journals are \
-       byte-identical."
+      "Merge k per-domain journals into one stream ordered by (ts, pid, \
+       source) — repeated merges of the same journals are byte-identical."
     in
     Cmd.v (Cmd.info "merge" ~doc) Term.(const run $ in_args $ out $ log_level)
   in
   let doc =
     "Offline engine over binary flight journals: decode to JSONL/Chrome, \
-     query by pid/kind/name/time or causal --why, merge per-domain/per-node \
-     journals deterministically."
+     query by pid/kind/name/time or causal --why, merge per-domain journals \
+     deterministically."
   in
   Cmd.group (Cmd.info "trace" ~doc) [ decode_cmd; query_cmd; merge_cmd ]
 

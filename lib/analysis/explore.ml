@@ -158,14 +158,14 @@ type item =
   | Sub of subtree (* a subtree for the workers *)
   | Poison of exn (* Max_steps_exceeded hit during expansion *)
 
-(* Progress cadence for the sink / debug log: power of two so the
-   modulo is a mask, rare enough not to perturb timing. *)
+(* Progress cadence for the debug log: power of two so the modulo is a
+   mask, rare enough not to perturb timing. *)
 let progress_every = 4096
 
 (* frontier size per domain: enough subtrees for stealing to balance *)
 let items_per_domain = 32
 
-let explore ?(strategy = Por) ?(sink = Obs.Sink.null) ?(domains = 1)
+let explore ?(strategy = Por) ?(domains = 1)
     ?(fingerprint = false) ~factory ~branch_depth ~max_steps ~on_execution ()
     =
   if domains < 1 then invalid_arg "Explore.explore: domains must be >= 1";
@@ -232,18 +232,11 @@ let explore ?(strategy = Por) ?(sink = Obs.Sink.null) ?(domains = 1)
     node ~emit ~split (replay_subtree o) o.sleep o.branches
   in
   let root = { rev_prefix = []; sleep = []; branches = 0; depth = 0 } in
-  let observing = not (Obs.Sink.is_null sink) in
   let executions = ref 0 in
   let deliver e =
     incr executions;
-    if !executions mod progress_every = 0 then begin
-      if observing then
-        Obs.Sink.emit sink
-          (Obs.Sink.record ~ts:!executions ~kind:Obs.Sink.Counter
-             ~args:[ ("executions", Obs.Json.Int !executions) ]
-             "explore.progress");
-      Util.Logging.debug "explore: %d executions visited" !executions
-    end;
+    if !executions mod progress_every = 0 then
+      Util.Logging.debug "explore: %d executions visited" !executions;
     on_execution e
   in
   let work_items, steals =
@@ -390,30 +383,6 @@ let explore ?(strategy = Por) ?(sink = Obs.Sink.null) ?(domains = 1)
       cache = Option.map Fingerprint.stats table;
     }
   in
-  if observing then begin
-    let cache_args =
-      match stats.cache with
-      | None -> []
-      | Some c ->
-          [
-            ("cache_hits", Obs.Json.Int c.Fingerprint.hits);
-            ("cache_misses", Obs.Json.Int c.Fingerprint.misses);
-            ("cache_evictions", Obs.Json.Int c.Fingerprint.evictions);
-          ]
-    in
-    Obs.Sink.emit sink
-      (Obs.Sink.record ~ts:!executions ~kind:Obs.Sink.Counter
-         ~args:
-           ([
-              ("executions", Obs.Json.Int stats.executions);
-              ("fully_exhaustive", Obs.Json.Bool stats.fully_exhaustive);
-              ("domains", Obs.Json.Int stats.domains);
-              ("work_items", Obs.Json.Int stats.work_items);
-              ("steals", Obs.Json.Int stats.steals);
-            ]
-           @ cache_args)
-         "explore.done")
-  end;
   Util.Logging.debug
     "explore: done, %d executions (exhaustive=%b) over %d items on %d \
      domains (%d steals)"
@@ -517,33 +486,19 @@ type report = {
 
 let max_findings = 64
 
-let check ?(strategy = Por) ?(minimize = true) ?(sink = Obs.Sink.null)
-    ?domains ?fingerprint ~factory ~branch_depth ~max_steps ~oracles () =
+let check ?(strategy = Por) ?(minimize = true) ?domains ?fingerprint ~factory ~branch_depth ~max_steps ~oracles () =
   let findings = ref [] in
   let n_findings = ref 0 in
   let violating = ref 0 in
   let seen = Hashtbl.create 64 in
   let stats =
-    explore ~strategy ~sink ?domains ?fingerprint ~factory ~branch_depth
+    explore ~strategy ?domains ?fingerprint ~factory ~branch_depth
       ~max_steps
       ~on_execution:(fun (e : execution) ->
         match Oracle.check_all oracles e.trace with
         | [] -> ()
         | violations ->
             incr violating;
-            if not (Obs.Sink.is_null sink) then
-              Obs.Sink.emit sink
-                (Obs.Sink.record ~ts:(List.length e.schedule)
-                   ~kind:Obs.Sink.Instant
-                   ~args:
-                     [
-                       ( "oracles",
-                         Obs.Json.List
-                           (List.map
-                              (fun v -> Obs.Json.String v.Oracle.oracle)
-                              violations) );
-                     ]
-                   "explore.violation");
             Util.Logging.debug "explore: violation #%d (%s)" !violating
               (String.concat ", "
                  (List.map (fun v -> v.Oracle.oracle) violations));

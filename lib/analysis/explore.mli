@@ -87,7 +87,6 @@ type strategy =
 
 val explore :
   ?strategy:strategy ->
-  ?sink:Obs.Sink.t ->
   ?domains:int ->
   ?fingerprint:bool ->
   factory:(unit -> Shm.Automaton.handle array) ->
@@ -99,10 +98,7 @@ val explore :
 (** Enumerate executions (default strategy {!Por}) on [domains]
     (default 1) domains, calling [on_execution] on each, always on the
     caller's domain.  [fingerprint] (default [false]) enables the state
-    cache.  A non-null [sink] (default {!Obs.Sink.null}) receives
-    periodic [explore.progress] counters and a final [explore.done]
-    record carrying the {!stats}; progress is also reported at debug
-    log level.  @raise Invalid_argument if [domains < 1].
+    cache.  Progress is reported at debug log level.  @raise Invalid_argument if [domains < 1].
     @raise Max_steps_exceeded. *)
 
 val replay :
@@ -177,7 +173,6 @@ type report = {
 val check :
   ?strategy:strategy ->
   ?minimize:bool ->
-  ?sink:Obs.Sink.t ->
   ?domains:int ->
   ?fingerprint:bool ->
   factory:(unit -> Shm.Automaton.handle array) ->
@@ -189,6 +184,4 @@ val check :
 (** Explore (default {!Por}) and judge every execution against the
     [oracles]; when a violation is found and [minimize] (default
     [true]), the first counterexample is shrunk before reporting.
-    [sink], [domains] and [fingerprint] are threaded to {!explore};
-    each violating execution additionally emits an [explore.violation]
-    instant naming the fired oracles.  @raise Max_steps_exceeded. *)
+    [domains] and [fingerprint] are threaded to {!explore}.  @raise Max_steps_exceeded. *)

@@ -38,7 +38,7 @@ type 'a outcome = { stats : stats; final_corpus : 'a list; failures : 'a list }
    mutations of whatever was kept last. *)
 let recent_window = 8
 
-let run ?(sink = Obs.Sink.null) ?table_bits ?(stop_on_violation = false)
+let run ?table_bits ?(stop_on_violation = false)
     ?max_seconds ?on_keep ?on_exec ~seed ~budget ~harness ~seeds () =
   if seeds = [] then invalid_arg "Fuzz.run: empty seed list";
   if budget < 0 then invalid_arg "Fuzz.run: negative budget";
@@ -70,18 +70,11 @@ let run ?(sink = Obs.Sink.null) ?table_bits ?(stop_on_violation = false)
       novelty = List.rev !novelty;
     }
   in
-  let emit_instant name args =
-    if not (Obs.Sink.is_null sink) then
-      Obs.Sink.emit sink
-        (Obs.Sink.record ~ts:!execs ~kind:Obs.Sink.Instant ~args name)
-  in
   let keep input =
     corpus := input :: !corpus;
     incr corpus_n;
     incr kept;
-    (match on_keep with None -> () | Some f -> f input);
-    emit_instant "fuzz.kept"
-      [ ("corpus", Obs.Json.Int !corpus_n); ("distinct", Obs.Json.Int !distinct) ]
+    match on_keep with None -> () | Some f -> f input
   in
   (* Feed one execution's observations into the table and counters.
      Returns whether any state was novel. *)
@@ -99,8 +92,7 @@ let run ?(sink = Obs.Sink.null) ?table_bits ?(stop_on_violation = false)
     if ex.violating then begin
       incr violations;
       if !first_violation = None then first_violation := Some !execs;
-      failures := ex.pinned :: !failures;
-      emit_instant "fuzz.violation" [ ("exec", Obs.Json.Int !execs) ]
+      failures := ex.pinned :: !failures
     end;
     if !execs mod sample_every = 0 then
       novelty := (!execs, !distinct) :: !novelty;
@@ -137,21 +129,8 @@ let run ?(sink = Obs.Sink.null) ?table_bits ?(stop_on_violation = false)
     let ex = harness.execute child in
     if observe ex then keep ex.pinned
   done;
-  let stats = snapshot () in
-  if not (Obs.Sink.is_null sink) then
-    Obs.Sink.emit sink
-      (Obs.Sink.record ~ts:stats.execs ~kind:Obs.Sink.Instant
-         ~args:
-           [
-             ("execs", Obs.Json.Int stats.execs);
-             ("kept", Obs.Json.Int stats.kept);
-             ("corpus", Obs.Json.Int stats.corpus);
-             ("distinct", Obs.Json.Int stats.distinct_states);
-             ("violations", Obs.Json.Int stats.violations);
-           ]
-         "fuzz.done");
   {
-    stats;
+    stats = snapshot ();
     final_corpus = List.rev !corpus;
     failures = List.rev !failures;
   }

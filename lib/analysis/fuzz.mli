@@ -60,7 +60,6 @@ type 'a outcome = {
 }
 
 val run :
-  ?sink:Obs.Sink.t ->
   ?table_bits:int ->
   ?stop_on_violation:bool ->
   ?max_seconds:float ->
@@ -91,9 +90,5 @@ val run :
     corpus addition, seeds included — the persistence hook.
     [on_exec] fires after every execution with the running stats —
     the dashboard / Prometheus hook.
-
-    Progress also flows to [sink]: a [fuzz.kept] instant per corpus
-    addition, a [fuzz.violation] instant per violating run, and one
-    [fuzz.done] summary record.
 
     @raise Invalid_argument on an empty seed list or [budget < 0]. *)

@@ -168,14 +168,11 @@ type soak_stats = {
   first_failure : (Plan.t * run_result) option;
 }
 
-let soak ?(sink = Obs.Sink.null) ?(algo = Plan.Kk) ?(recovery_every = 4)
-    ?(stalls = true) ?(fail_fast = false) ?probe ?on_run ?on_failure ?rtevents
+(* every [recovery_every]-th soaked plan is crash-recovery flavoured *)
+let recovery_every = 4
+
+let soak ?(algo = Plan.Kk) ?(fail_fast = false) ?probe ?on_run ?on_failure
     ~seed ~count ~n ~m ~beta () =
-  (* with a runtime-events consumer attached, each chaos run is a
-     [chaos.run] span on the runtime timeline and the rings are
-     drained between runs — soaks run long enough to overflow them
-     otherwise *)
-  let instrument = Option.is_some rtevents in
   let root = Prng.of_int seed in
   let runs = ref 0 in
   let recovery_runs = ref 0 in
@@ -188,13 +185,12 @@ let soak ?(sink = Obs.Sink.null) ?(algo = Plan.Kk) ?(recovery_every = 4)
   (try
      for i = 0 to count - 1 do
        let rng = Prng.split root in
-       let recovery = recovery_every > 0 && i mod recovery_every = 0 in
+       let recovery = i mod recovery_every = 0 in
        let plan =
-         Plan.gen ~algo ~recovery ~stalls
+         Plan.gen ~algo ~recovery ~stalls:true
            ~name:(Printf.sprintf "chaos-%03d" i)
            ~n ~m ~beta rng
        in
-       if instrument then Obs.Rtevents.emit_begin "chaos.run";
        let r =
          if not fail_fast then run_plan ?probe plan
          else begin
@@ -211,11 +207,6 @@ let soak ?(sink = Obs.Sink.null) ?(algo = Plan.Kk) ?(recovery_every = 4)
              run_plan ?probe plan
          end
        in
-       (match rtevents with
-       | Some re ->
-           Obs.Rtevents.emit_end "chaos.run";
-           ignore (Obs.Rtevents.poll re)
-       | None -> ());
        incr runs;
        if Plan.has_recovery plan then incr recovery_runs;
        total_steps := !total_steps + r.steps;
@@ -223,19 +214,6 @@ let soak ?(sink = Obs.Sink.null) ?(algo = Plan.Kk) ?(recovery_every = 4)
        total_restarts := !total_restarts + List.length r.restarts;
        if r.violations <> [] then begin
          incr failures;
-         List.iter
-           (fun (v : Analysis.Oracle.violation) ->
-             Obs.Sink.emit sink
-               (Obs.Sink.record ~ts:i ~kind:Obs.Sink.Instant
-                  ~args:
-                    [
-                      ("plan", Obs.Json.String plan.Plan.name);
-                      ("seed", Obs.Json.Int plan.Plan.seed);
-                      ("oracle", Obs.Json.String v.oracle);
-                      ("detail", Obs.Json.String v.detail);
-                    ]
-                  "chaos.violation"))
-           r.violations;
          (* dump-on-failure seam: fires before shrinking so a flight
             recorder attached via [probe] is persisted while it still
             holds the failing run's tail (the shrink re-runs below use
@@ -248,15 +226,6 @@ let soak ?(sink = Obs.Sink.null) ?(algo = Plan.Kk) ?(recovery_every = 4)
        if !aborted then raise Exit
      done
    with Exit -> ());
-  Obs.Sink.emit sink
-    (Obs.Sink.record ~ts:count ~kind:Obs.Sink.Instant
-       ~args:
-         [
-           ("runs", Obs.Json.Int !runs);
-           ("recovery_runs", Obs.Json.Int !recovery_runs);
-           ("failures", Obs.Json.Int !failures);
-         ]
-       "chaos.done");
   {
     runs = !runs;
     recovery_runs = !recovery_runs;

@@ -103,15 +103,11 @@ type soak_stats = {
 }
 
 val soak :
-  ?sink:Obs.Sink.t ->
   ?algo:Plan.algo ->
-  ?recovery_every:int ->
-  ?stalls:bool ->
   ?fail_fast:bool ->
   ?probe:Shm.Probe.t ->
   ?on_run:(int -> run_result -> unit) ->
   ?on_failure:(run_result -> unit) ->
-  ?rtevents:Obs.Rtevents.t ->
   seed:int ->
   count:int ->
   n:int ->
@@ -119,10 +115,9 @@ val soak :
   beta:int ->
   unit ->
   soak_stats
-(** Run [count] seeded random plans (every [recovery_every]-th one
-    crash-recovery flavoured, default 4).  Violations are emitted to
-    [sink] as [chaos.violation] instants and the first failure is
-    shrunk.  Fully deterministic in [seed].
+(** Run [count] seeded random plans with stalls (every 4th one
+    crash-recovery flavoured); the first failure is shrunk.  Fully
+    deterministic in [seed].
 
     [fail_fast] (default [false]) attaches a streaming
     {!Obs.Monitor} to every run: the soak stops at the first
@@ -142,12 +137,7 @@ val soak :
     dump-on-failure trigger ([amo_run chaos --flight-out] persists
     the flight dump from it).  Shrinking re-runs plans without
     [probe], so the recorder's contents stay those of the original
-    failing run.
-
-    [rtevents] (optional) is an active {!Obs.Rtevents} consumer: each
-    run becomes a [chaos.run] span on the runtime-events timeline and
-    the consumer is polled between runs, so GC behaviour over a long
-    soak is attributable run-by-run. *)
+    failing run. *)
 
 type net_result = {
   plan : Plan.t;

@@ -20,26 +20,9 @@
 
 type 'a t
 
-type obs =
-  | Sent of { id : int; src : int; dst : int }
-  | Delivered of { id : int; src : int; dst : int; to_dead : bool }
-  | Dropped of { id : int; src : int; dst : int }
-  | Duplicated of { id : int; src : int; dst : int }
-      (** Channel-level provenance notifications.  [id] is the send
-          sequence number ([1, 2, ...] in send order); a duplicated
-          copy keeps the original's id, so every delivery is
-          attributable to the send that caused it.  [to_dead] marks
-          deliveries swallowed by a crashed destination. *)
-
-val create : ?vclocks:bool -> nodes:int -> unit -> 'a t
+val create : nodes:int -> unit -> 'a t
 (** Nodes are [1..nodes]; all start alive with no handler (messages
-    to a handler-less node raise at delivery — a wiring bug).
-
-    [vclocks] (default [false]) maintains a {!Util.Vclock.t} per node:
-    ticked on each send and delivery, with the sender's clock snapshot
-    stamped on the message and joined into the receiver at delivery —
-    the message-passing analogue of the executor's read-from edges
-    (DESIGN.md §8). *)
+    to a handler-less node raise at delivery — a wiring bug). *)
 
 val nodes : 'a t -> int
 
@@ -91,26 +74,4 @@ val delivered_count : 'a t -> int
     dead nodes count as deliveries). *)
 
 val sent_count : 'a t -> int
-(** Total successful sends so far (= the id of the last send). *)
-
-val set_observer : 'a t -> (obs -> unit) -> unit
-(** Install a channel observer, called synchronously on every send,
-    delivery (before the handler runs), drop and duplication.  At most
-    one observer; a second call replaces the first. *)
-
-val set_journals : 'a t -> Obs.Sink.t array -> unit
-(** Per-node durable journals, independent of (and composable with)
-    the observer: node [i]'s sends and live deliveries are emitted
-    only to [sinks.(i-1)] as [net.send]/[net.recv] instants carrying
-    the message [id] and [peer].  With [~vclocks:true] each record's
-    [ts] is the node's own clock component and the full vector clock
-    rides along as a ["vc"] arg — the stamps {!Obs.Journal.merge} (and
-    [amo_run trace merge]) order the per-node streams by; without
-    clocks a per-node sequence number keeps each stream internally
-    ordered.  Pass {!Obs.Journal.sink}-wrapped flights for a bounded
-    binary black box per node.
-    @raise Invalid_argument unless one sink per node. *)
-
-val clock : 'a t -> int -> Util.Vclock.t
-(** A copy of the node's current vector clock.
-    @raise Invalid_argument unless created with [~vclocks:true]. *)
+(** Total successful sends so far. *)

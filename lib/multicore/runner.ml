@@ -114,8 +114,7 @@ let run_iterative ~n ~m ~epsilon_inv () =
         performed)
 
 let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
-    ?(job_budget = fun ~pid:_ -> max_int) ?(sink = Obs.Sink.null) ?journals
-    ?rtevents () =
+    ?(job_budget = fun ~pid:_ -> max_int) ?journals ?rtevents () =
   if m < 1 || n < m then invalid_arg "Runner.run_kk: need 1 <= m <= n";
   if beta < 1 then invalid_arg "Runner.run_kk: beta must be >= 1";
   (match journals with
@@ -124,30 +123,27 @@ let run_kk ~n ~m ~beta ?(policy = fun ~pid:_ -> Core.Policy.Rank_split)
   | _ -> ());
   let next = Atomic_mem.vector ~len:m ~init:0 in
   let done_l = Atomic_mem.log ~rows:m ~cols:n in
-  (* all domains share [sink]; the caller must pass a {!Obs.Sink.locked}
-     wrapper (or null) — a fetch-and-add counter provides a global
-     emission order to use as the logical timestamp.  [journals], by
-     contrast, are per-domain single-writer channels: domain i appends
+  (* [journals] are per-domain single-writer channels: domain i appends
      only to journals.(i) — no mutex needed — and the caller stitches
-     them back together offline with [Obs.Journal.merge] (the
-     fetch-and-add [ts] makes the merged order total and
-     deterministic). *)
+     them back together offline with [Obs.Journal.merge]; a
+     fetch-and-add counter gives every record a global emission index
+     as its [ts], which makes the merged order total and
+     deterministic. *)
   let seq = Atomic.make 0 in
   let emit_for pid =
-    let journal = Option.map (fun j -> j.(pid - 1)) journals in
-    if Obs.Sink.is_null sink && Option.is_none journal then fun _ -> ()
-    else fun job ->
-      let r =
-        Obs.Sink.record
-          ~ts:(Atomic.fetch_and_add seq 1)
-          ~pid ~kind:Obs.Sink.Instant
-          ~args:[ ("job", Obs.Json.Int job) ]
-          "mc.do"
-      in
-      (match journal with
-      | Some fl -> Obs.Flight.push fl (Obs.Journal.encode (Obs.Journal.Record r))
-      | None -> ());
-      if not (Obs.Sink.is_null sink) then Obs.Sink.emit sink r
+    match journals with
+    | None -> fun _ -> ()
+    | Some j ->
+        let fl = j.(pid - 1) in
+        fun job ->
+          Obs.Flight.push fl
+            (Obs.Journal.encode
+               (Obs.Journal.Record
+                  (Obs.Sink.record
+                     ~ts:(Atomic.fetch_and_add seq 1)
+                     ~pid ~kind:Obs.Sink.Instant
+                     ~args:[ ("job", Obs.Json.Int job) ]
+                     "mc.do")))
   in
   (* [rtevents]: an active runtime-events consumer.  The run brackets
      itself and each domain in custom phase spans so GC pauses line up

@@ -39,7 +39,6 @@ val run_kk :
   beta:int ->
   ?policy:(pid:int -> Core.Policy.t) ->
   ?job_budget:(pid:int -> int) ->
-  ?sink:Obs.Sink.t ->
   ?journals:Obs.Flight.t array ->
   ?rtevents:Obs.Rtevents.t ->
   unit ->
@@ -50,19 +49,14 @@ val run_kk :
     process performs before it silently stops (default: unlimited),
     emulating crashes.
 
-    [sink] (default {!Obs.Sink.null}) receives one [mc.do] instant per
-    performed job, emitted {e concurrently} from every domain — pass a
-    {!Obs.Sink.locked}-wrapped sink or records may interleave; [ts] is
-    a fetch-and-add global emission index, [pid] the performing
-    domain.
-
-    [journals] (optional, length [m]) is the lock-free, durable
-    per-domain alternative: domain [i] appends its [mc.do] records,
-    binary-encoded, only to the flight recorder [journals.(i)]
-    (single-writer, no mutex).  Dump them with {!Obs.Journal.dump} and stitch the
-    per-domain streams back into one deterministic total order with
-    {!Obs.Journal.merge} or [amo_run trace merge] — the fetch-and-add
-    [ts] breaks every tie.
+    [journals] (optional, length [m]) are lock-free, durable
+    per-domain journals: domain [i] appends one binary-encoded [mc.do]
+    instant per performed job only to the flight recorder
+    [journals.(i)] (single-writer, no mutex); [ts] is a fetch-and-add
+    global emission index, [pid] the performing domain.  Dump them
+    with {!Obs.Journal.dump} and stitch the per-domain streams back
+    into one deterministic total order with {!Obs.Journal.merge} or
+    [amo_run trace merge] — the fetch-and-add [ts] breaks every tie.
 
     [rtevents] (optional) is an active {!Obs.Rtevents} consumer: the
     run brackets itself in an [mc.run] span and each domain in an

@@ -1,6 +1,7 @@
-(* Adapters from the generic Shm.Probe seam to obs consumers.  The
-   probe layer lives in shm so the executor can stream events without
-   depending on this library; these constructors close the loop. *)
+(* The probe layer lives in shm so the executor can stream events
+   without depending on this library; this module connects it to the
+   verdict engine and renders events as generic records for the
+   offline journal tools. *)
 
 let kind_of_event (e : Shm.Event.t) =
   match e with
@@ -48,27 +49,16 @@ let args_of_event (e : Shm.Event.t) =
       ]
   | Shm.Event.Recover { job; _ } -> [ ("job", Json.Int job) ]
 
-let record_of_event ~step ?phase ev =
-  let args = args_of_event ev in
-  let args =
-    match phase with
-    | Some ph -> ("phase", Json.String ph) :: args
-    | None -> args
-  in
+let record_of_event ~step ev =
   Sink.record ~ts:step ~dur:1 ~pid:(Shm.Event.pid ev) ~kind:(kind_of_event ev)
-    ~args (name_of_event ev)
-
-let sink_probe sink =
-  if Sink.is_null sink then Shm.Probe.null
-  else
-    Shm.Probe.make (fun ~step ~phase ev ->
-        Sink.emit sink (record_of_event ~step ~phase ev))
+    ~args:(args_of_event ev) (name_of_event ev)
 
 let monitor_probe ?(fail_fast = false) monitor =
   Shm.Probe.make ~needs_phase:false (fun ~step:_ ~phase:_ ev ->
       match ev with
       | Shm.Event.Read _ | Shm.Event.Write _ | Shm.Event.Internal _
-      | Shm.Event.Pick _ ->
+      | Shm.Event.Pick _ | Shm.Event.Announce _ | Shm.Event.Forfeit _
+      | Shm.Event.Recover _ ->
           (* pre-filter the hot path: none of these can change a
              verdict (the monitor ignores them), so the per-event cost
              on a tight [`Silent] run stays one branch *)
@@ -84,46 +74,3 @@ let monitor_probe ?(fail_fast = false) monitor =
                 | Some v -> raise (Monitor.Tripped v)
                 | None -> ())
             | _ -> ()))
-
-let sketch_probe sketch =
-  (* per-process Do-interval sketch: samples the step distance between
-     a process's consecutive Do events — the live "how long does one
-     job take" latency signal *)
-  let last = Hashtbl.create 8 in
-  Shm.Probe.make ~needs_phase:false (fun ~step ~phase:_ ev ->
-      match ev with
-      | Shm.Event.Do { p; _ } ->
-          (match Hashtbl.find_opt last p with
-          | Some prev -> Sketch.add sketch (step - prev)
-          | None -> ());
-          Hashtbl.replace last p step
-      | _ -> ())
-
-let profile_probe profile =
-  Shm.Probe.make (fun ~step:_ ~phase ev ->
-      let pid = Shm.Event.pid ev in
-      match ev with
-      | Shm.Event.Read _ -> Profile.add profile ~pid ~series:("read@" ^ phase) 1
-      | Shm.Event.Write _ ->
-          Profile.add profile ~pid ~series:("write@" ^ phase) 1
-      | Shm.Event.Internal _ ->
-          Profile.add profile ~pid ~series:("internal@" ^ phase) 1
-      | Shm.Event.Do _ | Shm.Event.Crash _ | Shm.Event.Restart _
-      | Shm.Event.Terminate _ | Shm.Event.Pick _ | Shm.Event.Announce _
-      | Shm.Event.Forfeit _ | Shm.Event.Recover _ ->
-          ())
-
-let emit_metrics sink ?(ts = 0) metrics =
-  if not (Sink.is_null sink) then
-    for p = 1 to Shm.Metrics.m metrics do
-      Sink.emit sink
-        (Sink.record ~ts ~pid:p ~kind:Sink.Counter
-           ~args:
-             [
-               ("reads", Json.Int (Shm.Metrics.reads metrics ~p));
-               ("writes", Json.Int (Shm.Metrics.writes metrics ~p));
-               ("internals", Json.Int (Shm.Metrics.internals metrics ~p));
-               ("work", Json.Int (Shm.Metrics.work metrics ~p));
-             ]
-           "metrics")
-    done

@@ -144,13 +144,6 @@ let dropped_records t = t.dropped_records
 let retained_records t = t.sealed_records + t.cur.records
 let segment_count t = t.nsealed + 1
 
-let retained_bytes t =
-  let n = ref 0 in
-  for i = 0 to t.nsealed do
-    n := !n + (slot t i).len
-  done;
-  !n
-
 let segments t =
   List.init (t.nsealed + 1) (fun i ->
       let s = slot t i in

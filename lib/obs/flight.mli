@@ -15,9 +15,8 @@
     oversized record.  Segment bytes live off the OCaml heap, in
     buffers allocated on first use and reused in place, so the ring
     neither allocates when a segment is sealed nor counts as live heap
-    in the major GC's pacing.  All operations are single-domain; wrap the
-    owning sink in {!Sink.locked} (or give each domain its own flight,
-    as {!Multicore.Runner} does) for multicore use. *)
+    in the major GC's pacing.  All operations are single-domain: give
+    each domain its own flight, as {!Multicore.Runner} does. *)
 
 type t
 
@@ -76,7 +75,6 @@ val dropped_records : t -> int
 (** Segments (and the records inside them) evicted by retention. *)
 
 val retained_records : t -> int
-val retained_bytes : t -> int
 val segment_count : t -> int
 (** Currently retained segments, open one included (so at least 1). *)
 

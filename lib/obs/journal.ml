@@ -300,6 +300,14 @@ let read_byte s pos limit what =
   incr pos;
   c
 
+(* An element count: every element takes at least one byte, so a count
+   beyond the bytes left (or a negative one, from a varint that sets
+   the sign bit) is damage, not an allocation request. *)
+let read_count s pos limit what =
+  let n = read_varint s pos limit in
+  if n < 0 || n > limit - !pos then raise (Bad ("bad " ^ what ^ " count"));
+  n
+
 let read_str s pos limit =
   let n = read_varint s pos limit in
   if n < 0 || n > limit - !pos then raise (Bad "truncated string");
@@ -320,10 +328,10 @@ let rec read_json s pos limit =
       Json.Float (Int64.float_of_bits bits)
   | 5 -> Json.String (read_str s pos limit)
   | 6 ->
-      let n = read_varint s pos limit in
+      let n = read_count s pos limit "json list" in
       Json.List (List.init n (fun _ -> read_json s pos limit))
   | 7 ->
-      let n = read_varint s pos limit in
+      let n = read_count s pos limit "json object" in
       Json.Obj
         (List.init n (fun _ ->
              let k = read_str s pos limit in
@@ -387,7 +395,7 @@ let decode_payload s pos limit =
       let pid = read_zint s pos limit in
       let kind = read_kind s pos limit in
       let name = read_str s pos limit in
-      let nargs = read_varint s pos limit in
+      let nargs = read_count s pos limit "record arg" in
       let args =
         List.init nargs (fun _ ->
             let k = read_str s pos limit in
@@ -456,8 +464,6 @@ let decode_file path =
         Ok (decode_string ~base:hlen (String.sub s hlen (String.length s - hlen)))
 
 (* ---------- write paths ---------- *)
-
-let sink fl = Sink.journal ~encode:(fun r -> encode (Record r)) fl
 
 let probe fl =
   let w = writer ~target:fl () in
@@ -577,133 +583,17 @@ let record_of_item = function
   | Record r -> r
   | Event { step; event } -> Bridge.record_of_event ~step event
 
-let arg_int (r : Sink.record) key ~default =
-  match List.assoc_opt key r.args with Some (Json.Int n) -> n | _ -> default
-
-let arg_str (r : Sink.record) key =
-  match List.assoc_opt key r.args with
-  | Some (Json.String s) -> Some s
-  | _ -> None
-
-(* "do(3)" -> Some 3 for prefix "do" *)
-let call_arg name prefix =
-  let pl = String.length prefix and nl = String.length name in
-  if
-    nl > pl + 2
-    && String.sub name 0 pl = prefix
-    && name.[pl] = '('
-    && name.[nl - 1] = ')'
-  then int_of_string_opt (String.sub name (pl + 1) (nl - pl - 2))
-  else None
-
-let event_of_record (r : Sink.record) =
-  let p = r.pid in
-  let ev =
-    match arg_str r "action" with
-    | Some a when a = r.name -> Some (Shm.Event.Internal { p; action = a })
-    | _ -> (
-        match r.name with
-        | "crash" -> Some (Shm.Event.Crash { p })
-        | "restart" -> Some (Shm.Event.Restart { p })
-        | "terminate" -> Some (Shm.Event.Terminate { p })
-        | name -> (
-            match call_arg name "do" with
-            | Some job -> Some (Shm.Event.Do { p; job })
-            | None -> (
-                match call_arg name "pick" with
-                | Some job ->
-                    Some
-                      (Shm.Event.Pick
-                         {
-                           p;
-                           job;
-                           free_card = arg_int r "free" ~default:0;
-                           try_card = arg_int r "try" ~default:0;
-                         })
-                | None -> (
-                    match call_arg name "announce" with
-                    | Some job -> Some (Shm.Event.Announce { p; job })
-                    | None -> (
-                        match call_arg name "forfeit" with
-                        | Some job ->
-                            Some
-                              (Shm.Event.Forfeit
-                                 {
-                                   p;
-                                   job;
-                                   hit =
-                                     Option.value (arg_str r "hit") ~default:"";
-                                   owner = arg_int r "owner" ~default:0;
-                                 })
-                        | None -> (
-                            match call_arg name "recover" with
-                            | Some job -> Some (Shm.Event.Recover { p; job })
-                            | None ->
-                                if String.length name > 5
-                                   && String.sub name 0 5 = "read "
-                                then
-                                  Some
-                                    (Shm.Event.Read
-                                       {
-                                         p;
-                                         cell =
-                                           String.sub name 5
-                                             (String.length name - 5);
-                                         value = arg_int r "value" ~default:0;
-                                         wid = arg_int r "wid" ~default:0;
-                                       })
-                                else if String.length name > 6
-                                        && String.sub name 0 6 = "write "
-                                then
-                                  Some
-                                    (Shm.Event.Write
-                                       {
-                                         p;
-                                         cell =
-                                           String.sub name 6
-                                             (String.length name - 6);
-                                         value = arg_int r "value" ~default:0;
-                                         wid = arg_int r "wid" ~default:0;
-                                       })
-                                else None))))))
-  in
-  Option.map (fun e -> (r.ts, e)) ev
-
 let to_trace items =
   let tr = Shm.Trace.create `Full in
   List.iter
     (fun it ->
       match it with
       | Event { step; event } -> Shm.Trace.record tr ~step event
-      | Record r -> (
-          match event_of_record r with
-          | Some (step, ev) -> Shm.Trace.record tr ~step ev
-          | None -> ()))
+      | Record _ -> ())
     items;
   tr
 
 (* ---------- merge ---------- *)
-
-let vclock_of_item = function
-  | Event _ -> None
-  | Record (r : Sink.record) -> (
-      match List.assoc_opt "vc" r.args with
-      | Some (Json.List l) ->
-          let ints = List.filter_map Json.get_int l in
-          if List.length ints = List.length l && ints <> [] then
-            Some (Array.of_list ints)
-          else None
-      | _ -> None)
-
-(* strict happens-before on vector clocks (shorter clocks padded with 0) *)
-let hb a b =
-  let n = max (Array.length a) (Array.length b) in
-  let get v i = if i < Array.length v then v.(i) else 0 in
-  let leq = ref true and lt = ref false in
-  for i = 0 to n - 1 do
-    if get a i > get b i then leq := false else if get a i < get b i then lt := true
-  done;
-  !leq && !lt
 
 let ts_of_item = function
   | Record (r : Sink.record) -> r.ts
@@ -714,43 +604,25 @@ let pid_of_item = function
   | Event { event; _ } -> Shm.Event.pid event
 
 let merge journals =
-  let heads = Array.map (fun l -> ref l) journals in
+  let heads = Array.copy journals in
+  let key i it = (ts_of_item it, pid_of_item it, i) in
   let out = ref [] in
   let running = ref true in
   while !running do
-    let cands =
-      Array.to_list heads
-      |> List.mapi (fun i h ->
-             match !h with [] -> None | it :: _ -> Some (i, it, vclock_of_item it))
-      |> List.filter_map Fun.id
-    in
-    match cands with
-    | [] -> running := false
-    | _ ->
-        (* causally minimal heads: no other head happens-before them *)
-        let minimal =
-          List.filter
-            (fun (i, _, vc) ->
-              match vc with
-              | None -> true
-              | Some v ->
-                  not
-                    (List.exists
-                       (fun (j, _, vc') ->
-                         j <> i
-                         && match vc' with Some v' -> hb v' v | None -> false)
-                       cands))
-            cands
-        in
-        let pool = if minimal = [] then cands else minimal in
-        let key (i, it, _) = (ts_of_item it, pid_of_item it, i) in
-        let best =
-          List.fold_left
-            (fun acc c -> if compare (key c) (key acc) < 0 then c else acc)
-            (List.hd pool) (List.tl pool)
-        in
-        let i, it, _ = best in
-        (heads.(i) := match !(heads.(i)) with [] -> [] | _ :: tl -> tl);
+    (* the head with the least (ts, pid, source) key goes next *)
+    let best = ref None in
+    Array.iteri
+      (fun i h ->
+        match (h, !best) with
+        | [], _ -> ()
+        | it :: _, None -> best := Some (i, it)
+        | it :: _, Some (j, bt) ->
+            if compare (key i it) (key j bt) < 0 then best := Some (i, it))
+      heads;
+    match !best with
+    | None -> running := false
+    | Some (i, it) ->
+        heads.(i) <- List.tl heads.(i);
         out := (i, it) :: !out
   done;
   List.rev !out

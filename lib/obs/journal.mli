@@ -18,11 +18,11 @@
     (QCheck-verified in [test/test_flight.ml]).
 
     Two payload shapes share the stream: a generic {!Sink.record}
-    (written by the {!Sink.journal} variant, via {!sink}) and a
-    compact executor event (written by the lean {!probe} — the
-    always-on write path, small enough to stay under the E19 overhead
-    gate).  {!record_of_item} renders both into {!Sink.record} form
-    for uniform querying. *)
+    (e.g. [Multicore.Runner]'s per-domain [mc.do] instants, encoded
+    with {!encode}) and a compact executor event (written by the lean
+    {!probe} — the always-on write path, small enough to stay under
+    the E19 overhead gate).  {!record_of_item} renders both into
+    {!Sink.record} form for uniform querying. *)
 
 val magic : string
 (** ["AMOJ"]. *)
@@ -48,17 +48,15 @@ type damage = { offset : int; reason : string }
 val decode_string : ?base:int -> string -> item list * damage option
 (** Decode a raw framed-record stream (no file header).  Returns every
     complete, checksum-valid record before the first damage; [base]
-    (default 0) offsets reported damage positions. *)
+    (default 0) offsets reported damage positions.  Never raises: a
+    frame whose checksum holds but whose payload does not parse (a bad
+    tag, a negative or oversized element count) is damage too. *)
 
 val decode_file : string -> (item list * damage option, string) result
 (** Read one segment file: validates the header (wrong magic or
     version is [Error], not damage), then {!decode_string}. *)
 
 (** {2 Write paths} *)
-
-val sink : Flight.t -> Sink.t
-(** [Sink.journal] over the standard codec: each emitted record is
-    framed as a {!Record} item. *)
 
 val probe : Flight.t -> Shm.Probe.t
 (** The lean always-on write path: encodes each executor event as a
@@ -99,25 +97,16 @@ val record_of_item : item -> Sink.record
 (** {!Record} unwraps; {!Event} renders via {!Bridge.record_of_event}
     (no phase — the lean probe does not capture it). *)
 
-val event_of_record : Sink.record -> (int * Shm.Event.t) option
-(** Inverse of {!Bridge.record_of_event} where possible: recognizes
-    the executor naming scheme (["do(3)"], ["crash"], ["read next1"],
-    …) and rebuilds [(step, event)]; [None] for records that are not
-    executor events (counters, bench marks, net messages). *)
-
 val to_trace : item list -> Shm.Trace.t
-(** Rebuild a [`Full] trace from the executor events among the items
-    (compact events directly, generic records via
-    {!event_of_record}) — the bridge back into every trace consumer:
-    {!Span.causal_chain} for [trace query --why], {!Chrome_trace} for
-    [trace decode]. *)
+(** Rebuild a [`Full] trace from the {!Event} items (generic
+    {!Record}s are not executor events and are skipped) — the bridge
+    back into every trace consumer: {!Span.causal_chain} for
+    [trace query --why], {!Chrome_trace} for [trace decode]. *)
 
 val merge : item list array -> (int * item) list
-(** Merge per-domain / per-node journals into one causally consistent
-    stream, tagged with the source journal's index.  Items carrying
-    vector clocks (a ["vc"] arg holding a list of ints, as written by
-    [Msg.Net] journals) are ordered by happens-before; concurrent or
-    clockless items tie-break deterministically on [(ts, pid, source
-    index)] — so merging the same journals always yields the same
-    stream.  Each input must itself be in causal order (true of any
-    single writer's journal). *)
+(** Merge per-domain journals into one stream, tagged with the source
+    journal's index: at each point the head with the least
+    [(ts, pid, source index)] goes next, so merging the same journals
+    always yields the same stream, and each input keeps its own order.
+    [Multicore.Runner]'s per-domain journals share one fetch-and-add
+    [ts], which makes their merge the global emission order. *)

@@ -30,11 +30,6 @@ val parse : string -> (t, string) result
     fraction/exponent parse as [Int] (falling back to [Float] beyond
     [max_int]); [\u] escapes decode to UTF-8. *)
 
-exception Parse_error of string
-
-val parse_exn : string -> t
-(** @raise Parse_error with an offset-bearing message. *)
-
 (** {2 Accessors} — shallow, [None] on shape mismatch.  [get_float]
     coerces [Int]. *)
 

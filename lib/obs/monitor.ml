@@ -8,23 +8,11 @@
    max 0 (n-(β+m-2)-r), and quiescence.  Effectiveness and quiescence
    only belong in the suite when β >= m (Lemma 4.3: termination is
    only guaranteed when a process may forfeit at most β >= m
-   candidates); [suite] is where that gate is written.
-
-   Job-fate counts follow Obs.Ledger's precedence (dos beat recovers;
-   lost-to-crash is a property of the final crash state) so a finished
-   monitor agrees with Ledger.of_trace on the same trace. *)
+   candidates); [suite] is where that gate is written. *)
 
 type violation = { oracle : string; detail : string }
 
 exception Tripped of violation
-
-type fates = {
-  performed : int;
-  doubly : int;
-  recovered : int;
-  lost : int;
-  forfeited : int;
-}
 
 (* A process's last lifecycle event: a restart re-opens a crashed
    process. *)
@@ -42,10 +30,6 @@ type t = {
   first_oob : (int, int) Hashtbl.t;
   mutable distinct : int; (* distinct jobs performed, Do(α) *)
   mutable stream_rev : violation list; (* at-most-once, newest first *)
-  do_counts : int array; (* per in-range job *)
-  recovers : bool array;
-  announced : int array; (* per process: current candidate, 0 = none *)
-  crashed : bool array; (* Ledger's crash state: only a restart clears it *)
   life : life array;
   mutable restarts : int;
 }
@@ -61,19 +45,12 @@ let create ~n ~m ~beta () =
     first_oob = Hashtbl.create 8;
     distinct = 0;
     stream_rev = [];
-    do_counts = Array.make (n + 1) 0;
-    recovers = Array.make (n + 1) false;
-    announced = Array.make (m + 1) 0;
-    crashed = Array.make (m + 1) false;
     life = Array.make (m + 1) Running;
     restarts = 0;
   }
 
 let in_job t j = j >= 1 && j <= t.n
 let in_proc t p = p >= 1 && p <= t.m
-
-let clear_candidate t p job =
-  if in_proc t p && t.announced.(p) = job then t.announced.(p) <- 0
 
 let observe t event =
   match event with
@@ -99,27 +76,13 @@ let observe t event =
               Printf.sprintf "job %d performed again by p%d (first by p%d)"
                 job p q;
           }
-          :: t.stream_rev;
-      if in_job t job then
-        t.do_counts.(job) <- t.do_counts.(job) + 1;
-      clear_candidate t p job
-  | Shm.Event.Crash { p } ->
-      if in_proc t p then begin
-        t.crashed.(p) <- true;
-        t.life.(p) <- Crashed
-      end
+          :: t.stream_rev
+  | Shm.Event.Crash { p } -> if in_proc t p then t.life.(p) <- Crashed
   | Shm.Event.Restart { p } ->
       t.restarts <- t.restarts + 1;
-      if in_proc t p then begin
-        t.crashed.(p) <- false;
-        t.life.(p) <- Running
-      end
+      if in_proc t p then t.life.(p) <- Running
   | Shm.Event.Terminate { p } -> if in_proc t p then t.life.(p) <- Terminated
-  | Shm.Event.Announce { p; job } -> if in_proc t p then t.announced.(p) <- job
-  | Shm.Event.Forfeit { p; job; _ } -> clear_candidate t p job
-  | Shm.Event.Recover { p; job } ->
-      if in_job t job then t.recovers.(job) <- true;
-      clear_candidate t p job
+  | Shm.Event.Announce _ | Shm.Event.Forfeit _ | Shm.Event.Recover _
   | Shm.Event.Pick _ | Shm.Event.Read _ | Shm.Event.Write _
   | Shm.Event.Internal _ ->
       ()
@@ -186,34 +149,5 @@ let suite ~m ~beta =
 
 let finalize t =
   List.concat_map (fun (_, check) -> check t) (suite ~m:t.m ~beta:t.beta)
-
-let fates t =
-  let performed = ref 0 and doubly = ref 0 and recovered = ref 0 in
-  for job = 1 to t.n do
-    match t.do_counts.(job) with
-    | 0 -> if t.recovers.(job) then incr recovered
-    | 1 -> incr performed
-    | _ -> incr doubly
-  done;
-  (* A job still announced by a currently-crashed process, never
-     performed or re-marked, is lost to the crash (Ledger semantics:
-     evaluated over the final crash state). *)
-  let lost_flag = Array.make (t.n + 1) false in
-  for p = 1 to t.m do
-    if t.crashed.(p) && in_job t t.announced.(p) then
-      lost_flag.(t.announced.(p)) <- true
-  done;
-  let lost = ref 0 in
-  for job = 1 to t.n do
-    if lost_flag.(job) && t.do_counts.(job) = 0 && not t.recovers.(job) then
-      incr lost
-  done;
-  {
-    performed = !performed;
-    doubly = !doubly;
-    recovered = !recovered;
-    lost = !lost;
-    forfeited = t.n - !performed - !doubly - !recovered - !lost;
-  }
 
 let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.oracle v.detail

@@ -1,8 +1,8 @@
 (** The verdict engine: the one implementation of the paper's trace
     predicates — at-most-once (Definition 2.2/Lemma 4.1), the
     recovery-aware effectiveness floor [max 0 (n - (β+m-2) - r)]
-    (Theorem 4.4) and quiescence (Lemma 4.3) — plus {!Ledger}-style
-    job-fate counts.
+    (Theorem 4.4) and quiescence (Lemma 4.3).  Job fates are
+    {!Ledger}'s.
 
     A monitor is fed events one at a time: live, through the
     executor's probe seam ({!Bridge.monitor_probe}), where an
@@ -20,14 +20,6 @@ type violation = { oracle : string; detail : string }
 exception Tripped of violation
 (** Raised by fail-fast probes ({!Bridge.monitor_probe}) on the first
     streaming at-most-once violation. *)
-
-type fates = {
-  performed : int;
-  doubly : int;
-  recovered : int;
-  lost : int;
-  forfeited : int;
-}
 
 type t
 
@@ -82,11 +74,6 @@ val tripped : t -> violation option
 
 val distinct : t -> int
 (** Distinct jobs performed so far (the spec's Do(α) measure). *)
-
-val fates : t -> fates
-(** Job-fate counts under {!Ledger} precedence, evaluated over the
-    events so far ([lost] counts jobs announced by currently-crashed
-    processes; exact once the run has ended). *)
 
 val pp_violation : Format.formatter -> violation -> unit
 (** ["[oracle] detail"]. *)

@@ -37,13 +37,6 @@ let of_metrics m =
   done;
   t
 
-let observe_metrics t m =
-  for p = 1 to Shm.Metrics.m m do
-    add t ~pid:p ~series:"work" (Shm.Metrics.work m ~p);
-    add t ~pid:p ~series:"reads" (Shm.Metrics.reads m ~p);
-    add t ~pid:p ~series:"writes" (Shm.Metrics.writes m ~p)
-  done
-
 let to_json t =
   let per_series s =
     let per_pid =

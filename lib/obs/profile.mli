@@ -5,7 +5,7 @@
     a starved or thrashing process.  A profile is a keyed family of
     {!Histogram}s: [(pid, series)] where a series is a named quantity
     ("work", "reads", "writes", or any phase label an instrumented
-    component chooses, e.g. via {!Bridge.profile_probe}).  The bench
+    component chooses).  The bench
     experiments (E4/E5) aggregate one sample per process per run and
     report tail percentiles instead of single totals. *)
 
@@ -32,11 +32,6 @@ val of_metrics : Shm.Metrics.t -> t
 (** One sample per process per counter kind, drawn from a finished
     ledger: series ["work"], ["reads"], ["writes"], ["internals"] —
     the across-process distribution of one run. *)
-
-val observe_metrics : t -> Shm.Metrics.t -> unit
-(** Fold another finished run's per-process totals into an existing
-    profile (series ["work"]/["reads"]/["writes"]) — accumulating a
-    distribution across a sweep of runs. *)
 
 val to_json : t -> Json.t
 (** [{series: {merged: hist, per_pid: {"1": hist, ...}}, ...}]. *)

@@ -97,10 +97,6 @@ val rings : summary -> int list
 val total_gc_us : summary -> int
 (** Total µs spent in GC phases (minor, major slice, barriers). *)
 
-val pause_sketch : summary -> Sketch.t
-(** GC pause-length distribution: one sample per completed GC span,
-    in µs, log-bucketed like every other obs distribution. *)
-
 (** {1 Rendering} *)
 
 val summary_json : summary -> Json.t

@@ -30,14 +30,7 @@ let record_to_json r =
   in
   Json.Obj (if r.args = [] then base else base @ [ ("args", Json.Obj r.args) ])
 
-type t =
-  | Null
-  | Memory of { cap : int; q : record Queue.t; mutable total : int }
-  | Jsonl of { oc : out_channel; mutable total : int }
-  | Ring of record Ring.t
-  | Journal of { fl : Flight.t; enc : record -> string }
-  | Locked of { mu : Mutex.t; inner : t }
-  | Tee of t list
+type t = Null | Memory of { cap : int; q : record Queue.t }
 
 let null = Null
 
@@ -45,66 +38,17 @@ let default_capacity = 65_536
 
 let memory ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Sink.memory: capacity must be >= 1";
-  Memory { cap = capacity; q = Queue.create (); total = 0 }
+  Memory { cap = capacity; q = Queue.create () }
 
-let jsonl oc = Jsonl { oc; total = 0 }
-let ring r = Ring r
-let journal ~encode fl = Journal { fl; enc = encode }
+let is_null = function Null -> true | Memory _ -> false
 
-let rec is_null = function
-  | Null -> true
-  | Memory _ | Jsonl _ | Ring _ | Journal _ -> false
-  | Locked { inner; _ } -> is_null inner
-  | Tee sinks -> List.for_all is_null sinks
-
-let locked inner =
-  if is_null inner then Null else Locked { mu = Mutex.create (); inner }
-
-let tee sinks =
-  match List.filter (fun s -> not (is_null s)) sinks with
-  | [] -> Null
-  | [ s ] -> s
-  | live -> Tee live
-
-let rec emit t r =
+let emit t r =
   match t with
   | Null -> ()
   | Memory m ->
       Queue.push r m.q;
-      if Queue.length m.q > m.cap then ignore (Queue.pop m.q);
-      m.total <- m.total + 1
-  | Jsonl j ->
-      Json.to_channel j.oc (record_to_json r);
-      j.total <- j.total + 1
-  | Ring rg -> ignore (Ring.push rg r)
-  | Journal { fl; enc } -> Flight.push fl (enc r)
-  | Locked { mu; inner } ->
-      Mutex.lock mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> emit inner r)
-  | Tee sinks -> List.iter (fun s -> emit s r) sinks
+      if Queue.length m.q > m.cap then ignore (Queue.pop m.q)
 
-let rec records = function
+let records = function
   | Memory m -> List.of_seq (Queue.to_seq m.q)
-  | Ring rg -> Ring.peek rg
-  | Null | Jsonl _ | Journal _ -> []
-  | Locked { mu; inner } ->
-      Mutex.lock mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> records inner)
-  | Tee sinks -> List.concat_map records sinks
-
-let rec total_emitted = function
-  | Null -> 0
-  | Memory m -> m.total
-  | Jsonl j -> j.total
-  | Ring rg -> Ring.total_offered rg
-  | Journal { fl; _ } -> Flight.total_records fl
-  | Locked { inner; _ } -> total_emitted inner
-  | Tee sinks -> List.fold_left (fun acc s -> acc + total_emitted s) 0 sinks
-
-let rec flush = function
-  | Jsonl j -> Stdlib.flush j.oc
-  | Null | Memory _ | Ring _ | Journal _ -> ()
-  | Locked { mu; inner } ->
-      Mutex.lock mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> flush inner)
-  | Tee sinks -> List.iter flush sinks
+  | Null -> []

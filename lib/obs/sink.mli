@@ -1,19 +1,14 @@
-(** Pluggable structured-event sink.
+(** Generic structured records — spans, instants, counters, log
+    lines — and a bounded in-memory sink for them.
 
-    Instrumented components (the executor via {!Bridge}, the model
-    checker, the bench harness) emit {!record}s — spans, instants,
-    counters, log lines — into a sink chosen by the application:
-
-    - {!null}: drops everything (the default; instrumentation must
-      cost nothing when nobody listens — emitters should test
-      {!is_null} before building argument lists);
-    - {!memory}: bounded in-memory ring buffer, for tests and
-      post-run analysis;
-    - {!jsonl}: line-delimited JSON on an [out_channel], one record
-      per line, for streaming to files or pipes.
-
-    Timestamps are logical (the executor's step counter), matching the
-    paper's action-counting model rather than wall clock. *)
+    A {!record} is the journal's generic payload ({!Journal.Record},
+    e.g. the per-domain [mc.do] instants of [Multicore.Runner]) and
+    the shape every decoded journal item is rendered into for
+    [amo_run trace].  The sink itself is either {!null}, which drops
+    everything (emitters test {!is_null} before building argument
+    lists), or {!memory}, a bounded buffer for a tracer's spans and
+    for tests.  Executor events travel as [Shm.Event] through
+    [Shm.Probe], not through this module. *)
 
 type kind = Span | Instant | Counter | Log
 
@@ -48,48 +43,10 @@ val memory : ?capacity:int -> unit -> t
 (** Ring buffer keeping the most recent [capacity] (default 65536)
     records.  @raise Invalid_argument on non-positive capacity. *)
 
-val jsonl : out_channel -> t
-(** Writes each record as one minified JSON line.  The channel is
-    owned by the caller (not closed by the sink); call {!flush}. *)
-
-val ring : record Ring.t -> t
-(** Lock-free bounded sink over a caller-owned {!Ring}: [emit] is a
-    non-blocking push (a full ring drops the record and bumps the
-    ring's drop counter — fixed-cost soak-mode channel), {!records}
-    peeks the buffered records, {!total_emitted} counts accepted plus
-    dropped.  SPSC: one emitting domain, one draining domain. *)
-
-val journal : encode:(record -> string) -> Flight.t -> t
-(** Binary flight-recorder sink: [emit] encodes the record with
-    [encode] and appends the bytes to the caller-owned {!Flight}
-    (drop-oldest retention; see {!Journal.sink} for the standard
-    codec — the encoder is injected here so this module stays
-    codec-agnostic).  {!records} is empty — the retained bytes are
-    read back offline via [Journal.dump]/[Journal.decode];
-    {!total_emitted} reports the flight's [total_records], which
-    counts every producer writing to that flight. *)
-
-val locked : t -> t
-(** Mutex-wraps a sink so whole records are emitted atomically —
-    required when multiple domains share one sink (multicore runs,
-    {!Multicore.Runner}): without it two domains' JSONL lines can
-    interleave mid-record.  Wrapping {!null} returns {!null} (the
-    no-listener fast path stays free). *)
-
-val tee : t list -> t
-(** Fan-out: [emit] delivers to every sink, in list order (a record is
-    fully delivered to sink [i] before sink [i+1] sees it).  Null
-    sinks are dropped; an all-null list collapses to {!null}. *)
-
 val emit : t -> record -> unit
 
 val is_null : t -> bool
 (** True for {!null}: lets hot paths skip building records. *)
 
 val records : t -> record list
-(** Retained records, oldest first.  Empty for {!null}/{!jsonl}. *)
-
-val total_emitted : t -> int
-(** All records ever emitted, including any the ring evicted. *)
-
-val flush : t -> unit
+(** Retained records, oldest first.  Empty for {!null}. *)

@@ -1,5 +1,5 @@
 (* Tests for the binary flight recorder + journal codec + offline
-   engine (ISSUE 10):
+   engine:
 
    - QCheck: [decode (encode x) = x] for whole item streams, over
      both payload shapes (compact executor events and generic records
@@ -11,13 +11,13 @@
      dropped) and the retained tail always decodes clean;
    - dump / load_dump round-trip through the on-disk segment+manifest
      layout, both via the directory and a single segment file;
-   - the [Sink.journal] variant and the [Bridge.record_of_event] /
-     [event_of_record] inverse pair;
+   - hostile input: [decode_string] never raises, on crafted frames
+     with negative element counts or on random and mutated bytes, and
+     returns a prefix of the valid decode;
    - [to_trace]: a journal captured by the lean probe rebuilds a
      trace with the run's exact Do sequence;
-   - [merge]: vector-clocked items order by happens-before (beating
-     the ts tie-break), merges are deterministic and lossless, and a
-     real two-node [Msg.Net] run merges send-before-recv;
+   - [merge]: deterministic, lossless and order-preserving, and it
+     rebuilds a multicore run's performs from its per-domain journals;
    - `amo_run trace` CLI: --help golden and the documented exit codes
      (0 clean decode, 1 --fail-empty with no match, 2 damaged). *)
 
@@ -212,6 +212,97 @@ let test_checksum_catches_flip () =
     (List.for_all2 ( = ) got
        (List.filteri (fun i _ -> i < List.length got) items))
 
+(* ---- hostile input: decode_string never raises ---- *)
+
+(* One frame around a raw payload: length varint (payloads here stay
+   under 128 bytes), payload, xor checksum — so only the payload
+   itself is malformed. *)
+let frame payload =
+  assert (String.length payload < 128);
+  let sum = ref 0xA5 in
+  String.iter (fun c -> sum := !sum lxor Char.code c) payload;
+  String.make 1 (Char.chr (String.length payload))
+  ^ payload
+  ^ String.make 1 (Char.chr !sum)
+
+(* A 9-byte varint whose last byte sets bit 62: the sign bit of an
+   OCaml int, so it decodes to [min_int]. *)
+let negative_varint = String.make 8 '\x80' ^ "\x40"
+
+let test_negative_counts () =
+  let good = J.Event { step = 1; event = Shm.Event.Do { p = 1; job = 2 } } in
+  let good_enc = J.encode good in
+  (* a Record: tag 0, ts/dur/pid 0, kind instant, empty name, then the
+     argument count *)
+  let record_head = "\x00\x00\x00\x00\x01\x00" in
+  (* one argument named "k" whose value starts with a json tag *)
+  let one_arg json_tag = record_head ^ "\x01\x01k" ^ json_tag in
+  List.iter
+    (fun (what, payload) ->
+      let bad = frame payload in
+      let got, damage = J.decode_string (good_enc ^ bad) in
+      Alcotest.(check bool) (what ^ ": good prefix kept") true (got = [ good ]);
+      match damage with
+      | None -> Alcotest.failf "%s: not reported as damage" what
+      | Some d ->
+          Alcotest.(check int)
+            (what ^ ": damage at the bad frame")
+            (String.length good_enc) d.J.offset)
+    [
+      ("record arg count", record_head ^ negative_varint);
+      ("json list length", one_arg "\x06" ^ negative_varint);
+      ("json object length", one_arg "\x07" ^ negative_varint);
+    ]
+
+(* Whatever the bytes, decoding returns (never raises), and the items
+   it returns are exactly what the undamaged prefix decodes to. *)
+let prop_random_bytes_never_raise =
+  QCheck.Test.make ~name:"decode_string total on random bytes" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 200))
+    (fun s ->
+      let got, damage = J.decode_string s in
+      let good =
+        match damage with None -> String.length s | Some d -> d.J.offset
+      in
+      good <= String.length s
+      && J.decode_string (String.sub s 0 good) = (got, None))
+
+(* Flip one byte of a valid stream: the frames before the flipped one
+   always come back unchanged.  A flip outside a length prefix breaks
+   that frame's checksum, so decoding returns exactly those frames and
+   reports damage where the flipped frame starts. *)
+let prop_mutation_keeps_prefix =
+  QCheck.Test.make ~name:"decode_string keeps the prefix of a mutated stream"
+    ~count:500
+    QCheck.(triple (int_range 0 1_000_000) (int_range 1 20) (pair small_nat (int_range 1 255)))
+    (fun (seed, count, (at, flip)) ->
+      let items = gen_items seed count in
+      let encs = List.map J.encode items in
+      let blob = Bytes.of_string (String.concat "" encs) in
+      let pos = at mod Bytes.length blob in
+      Bytes.set blob pos (Char.chr (Char.code (Bytes.get blob pos) lxor flip));
+      (* the flipped frame's index and start, and whether [pos] lies in
+         its length varint *)
+      let rec locate k start = function
+        | e :: rest ->
+            if pos < start + String.length e then
+              let rec varint_len i =
+                if Char.code e.[i] land 0x80 = 0 then i + 1
+                else varint_len (i + 1)
+              in
+              (k, start, pos - start < varint_len 0)
+            else locate (k + 1) (start + String.length e) rest
+        | [] -> assert false
+      in
+      let k, start, in_length = locate 0 0 encs in
+      let before = List.filteri (fun i _ -> i < k) items in
+      let got, damage = J.decode_string (Bytes.to_string blob) in
+      List.length got >= k
+      && List.filteri (fun i _ -> i < k) got = before
+      && (in_length
+         || got = before
+            && match damage with Some d -> d.J.offset = start | None -> false))
+
 (* ---- flight retention ---- *)
 
 let test_flight_retention_accounting () =
@@ -276,51 +367,6 @@ let test_dump_roundtrip () =
       Alcotest.(check bool) "single segment clean" true
         (damages = [] && got <> [])
 
-(* ---- Sink.journal and the bridge inverse ---- *)
-
-let test_sink_journal () =
-  let fl = Fl.create () in
-  let sink = J.sink fl in
-  Alcotest.(check bool) "journal sink is live" false (Obs.Sink.is_null sink);
-  let r1 = Obs.Sink.record ~ts:1 ~kind:Obs.Sink.Instant "one" in
-  let r2 =
-    Obs.Sink.record ~ts:2 ~pid:3 ~kind:Obs.Sink.Span
-      ~args:[ ("x", Jn.Int 9) ]
-      "two"
-  in
-  Obs.Sink.emit sink r1;
-  Obs.Sink.emit sink r2;
-  Alcotest.(check int) "total_emitted via flight" 2
-    (Obs.Sink.total_emitted sink);
-  let blob =
-    String.concat ""
-      (List.map (fun (s : Fl.segment) -> s.Fl.bytes) (Fl.segments fl))
-  in
-  let got, damage = J.decode_string blob in
-  Alcotest.(check bool) "decodes to the emitted records" true
-    (damage = None && got = [ J.Record r1; J.Record r2 ])
-
-let test_bridge_inverse () =
-  let rng = Util.Prng.of_int 99 in
-  for i = 1 to 200 do
-    let ev = gen_event rng in
-    let r = Obs.Bridge.record_of_event ~step:i ev in
-    match J.event_of_record r with
-    | Some (step, ev') ->
-        Alcotest.(check int) "step preserved" i step;
-        if ev' <> ev then
-          Alcotest.failf "event not preserved: %s vs %s"
-            (Format.asprintf "%a" Shm.Event.pp ev)
-            (Format.asprintf "%a" Shm.Event.pp ev')
-    | None ->
-        Alcotest.failf "executor event not recognized: %s"
-          (Format.asprintf "%a" Shm.Event.pp ev)
-  done;
-  (* non-executor records map to None, not garbage *)
-  Alcotest.(check bool) "net record is not an executor event" true
-    (J.event_of_record (Obs.Sink.record ~ts:1 ~kind:Obs.Sink.Instant "net.send")
-    = None)
-
 (* ---- to_trace: probe-captured journal rebuilds the run ---- *)
 
 let test_to_trace_matches_run () =
@@ -342,25 +388,6 @@ let test_to_trace_matches_run () =
     (Shm.Trace.do_events trace)
 
 (* ---- merge ---- *)
-
-let vc_rec ~ts ~pid ~name vc =
-  J.Record
-    (Obs.Sink.record ~ts ~pid ~kind:Obs.Sink.Instant
-       ~args:
-         [
-           ("id", Jn.Int 1);
-           ("vc", Jn.List (List.map (fun x -> Jn.Int x) vc));
-         ]
-       name)
-
-let test_merge_respects_happens_before () =
-  (* the send has the *larger* ts, so a plain (ts, pid) tie-break
-     would order it after the recv; the vector clocks must win *)
-  let send = vc_rec ~ts:5 ~pid:1 ~name:"net.send" [ 5; 0 ] in
-  let recv = vc_rec ~ts:1 ~pid:2 ~name:"net.recv" [ 5; 1 ] in
-  let merged = J.merge [| [ send ]; [ recv ] |] in
-  Alcotest.(check bool) "send ordered before its recv" true
-    (merged = [ (0, send); (1, recv) ])
 
 let test_merge_deterministic_and_lossless () =
   let streams =
@@ -384,16 +411,13 @@ let test_merge_deterministic_and_lossless () =
         true (got = stream))
     streams
 
-let test_net_journals_merge () =
-  let fls = Array.init 2 (fun _ -> Fl.create ()) in
-  let net = Msg.Net.create ~vclocks:true ~nodes:2 () in
-  Msg.Net.set_handler net ~node:1 (fun ~src:_ _ -> ());
-  Msg.Net.set_handler net ~node:2 (fun ~src:_ _ -> ());
-  Msg.Net.set_journals net (Array.map J.sink fls);
-  Msg.Net.send net ~src:1 ~dst:2 "a";
-  Msg.Net.send net ~src:2 ~dst:1 "b";
-  ignore (Msg.Net.deliver_oldest net);
-  ignore (Msg.Net.deliver_oldest net);
+(* Every domain journals one mc.do instant per perform into its own
+   flight: nothing may be lost or torn, and the fetch-and-add stamps
+   merge the per-domain journals into the global emission order. *)
+let test_runner_journals () =
+  let m = 3 and n = 40 in
+  let fls = Array.init m (fun _ -> Fl.create ()) in
+  let outcome = Multicore.Runner.run_kk ~n ~m ~beta:m ~journals:fls () in
   let streams =
     Array.map
       (fun fl ->
@@ -402,31 +426,38 @@ let test_net_journals_merge () =
             (List.map (fun (s : Fl.segment) -> s.Fl.bytes) (Fl.segments fl))
         in
         let its, damage = J.decode_string blob in
-        Alcotest.(check bool) "node journal clean" true (damage = None);
+        Alcotest.(check bool) "domain journal clean" true (damage = None);
         its)
       fls
   in
-  let merged = J.merge streams in
-  Alcotest.(check int) "4 channel actions" 4 (List.length merged);
-  (* every recv comes after the send with the same id *)
-  let seen_send = Hashtbl.create 4 in
-  List.iter
-    (fun (_src, it) ->
-      let r = J.record_of_item it in
-      let id =
-        match List.assoc_opt "id" r.Obs.Sink.args with
-        | Some (Jn.Int i) -> i
-        | _ -> Alcotest.fail "missing id arg"
-      in
-      if r.Obs.Sink.name = "net.send" then Hashtbl.replace seen_send id ()
-      else
-        Alcotest.(check bool)
-          (Printf.sprintf "recv %d after its send" id)
-          true
-          (Hashtbl.mem seen_send id))
-    merged;
-  Alcotest.(check bool) "merge deterministic" true
-    (J.merge streams = merged)
+  Array.iteri
+    (fun i its ->
+      List.iter
+        (fun it ->
+          let r = J.record_of_item it in
+          Alcotest.(check string) "name intact" "mc.do" r.Obs.Sink.name;
+          Alcotest.(check bool) "kind instant" true
+            (r.Obs.Sink.kind = Obs.Sink.Instant);
+          Alcotest.(check int) "pid is the journal's domain" (i + 1)
+            r.Obs.Sink.pid)
+        its)
+    streams;
+  let merged = List.map (fun (_, it) -> J.record_of_item it) (J.merge streams) in
+  Alcotest.(check int) "one record per perform"
+    (List.length outcome.Multicore.Runner.dos)
+    (List.length merged);
+  (* fetch-and-add timestamps: the merge reads exactly 0..k-1 *)
+  Alcotest.(check (list int)) "dense unique timestamps, merged in order"
+    (List.init (List.length merged) Fun.id)
+    (List.map (fun r -> r.Obs.Sink.ts) merged);
+  let job r =
+    match List.assoc_opt "job" r.Obs.Sink.args with
+    | Some (Jn.Int j) -> j
+    | _ -> Alcotest.fail "record missing job arg"
+  in
+  Alcotest.(check (list (pair int int))) "recorded performs = performed"
+    (List.sort compare outcome.Multicore.Runner.dos)
+    (List.sort compare (List.map (fun r -> (r.Obs.Sink.pid, job r)) merged))
 
 (* ---- amo_run trace CLI: help golden and exit codes ---- *)
 
@@ -519,22 +550,20 @@ let suite =
       test_truncation_recovers_prefix;
     Alcotest.test_case "corrupt: checksum catches a flipped byte" `Quick
       test_checksum_catches_flip;
+    Alcotest.test_case "corrupt: negative counts are damage, not a crash"
+      `Quick test_negative_counts;
+    qtest prop_random_bytes_never_raise;
+    qtest prop_mutation_keeps_prefix;
     Alcotest.test_case "flight: drop-oldest retention accounting" `Quick
       test_flight_retention_accounting;
     Alcotest.test_case "dump: segments + manifest round-trip" `Quick
       test_dump_roundtrip;
-    Alcotest.test_case "sink: Sink.journal writes through the codec" `Quick
-      test_sink_journal;
-    Alcotest.test_case "bridge: event_of_record inverts record_of_event" `Quick
-      test_bridge_inverse;
     Alcotest.test_case "to_trace: probe journal rebuilds the Do sequence"
       `Quick test_to_trace_matches_run;
-    Alcotest.test_case "merge: happens-before beats the ts tie-break" `Quick
-      test_merge_respects_happens_before;
     Alcotest.test_case "merge: deterministic, lossless, order-preserving"
       `Quick test_merge_deterministic_and_lossless;
-    Alcotest.test_case "merge: two-node Msg.Net journals" `Quick
-      test_net_journals_merge;
+    Alcotest.test_case "merge: multicore runner journals, one per domain"
+      `Quick test_runner_journals;
     Alcotest.test_case "trace --help golden" `Quick test_trace_help_golden;
     Alcotest.test_case "trace exit codes (0/1/2) + merge determinism" `Quick
       test_trace_exit_codes;

@@ -218,84 +218,19 @@ let test_snapshot_diff_detects_regression () =
   if not (List.exists (fun c -> c.Obs.Snapshot.metric_name = "verdict") regs)
   then Alcotest.fail "verdict flip not flagged"
 
-(* ---- sinks and bridges ---- *)
-
-let kk_instance ?(verbose = false) ~n ~m ~beta () =
-  let metrics = Shm.Metrics.create ~m in
-  let shared = Core.Kk.make_shared ~metrics ~m ~capacity:n ~name:"kk" () in
-  let procs =
-    Array.init m (fun i ->
-        Core.Kk.create ~shared ~pid:(i + 1) ~beta ~policy:Core.Policy.Rank_split
-          ~free:(Core.Job.universe ~n) ~verbose ~mode:Core.Kk.Standalone ())
-  in
-  (metrics, Array.map Core.Kk.handle procs)
+(* ---- sinks ---- *)
 
 let test_sink_ring_buffer () =
   let sink = Obs.Sink.memory ~capacity:4 () in
   for i = 1 to 10 do
     Obs.Sink.emit sink (Obs.Sink.record ~ts:i ~kind:Obs.Sink.Log "msg")
   done;
-  Alcotest.(check int) "total emitted" 10 (Obs.Sink.total_emitted sink);
   let kept = Obs.Sink.records sink in
   Alcotest.(check (list int))
     "ring keeps newest, oldest first" [ 7; 8; 9; 10 ]
     (List.map (fun r -> r.Obs.Sink.ts) kept);
   Alcotest.(check bool) "not null" false (Obs.Sink.is_null sink);
   Alcotest.(check bool) "null is null" true (Obs.Sink.is_null Obs.Sink.null)
-
-let test_executor_feeds_sink () =
-  let sink = Obs.Sink.memory () in
-  let _, handles = kk_instance ~verbose:true ~n:12 ~m:2 ~beta:2 () in
-  let outcome =
-    Shm.Executor.run ~trace_level:`Full
-      ~probe:(Obs.Bridge.sink_probe sink)
-      ~scheduler:(Shm.Schedule.round_robin ())
-      ~adversary:Shm.Adversary.none handles
-  in
-  let dos = Shm.Trace.do_events outcome.Shm.Executor.trace in
-  Helpers.check_amo dos;
-  let recs = Obs.Sink.records sink in
-  Alcotest.(check bool) "captured records" true (recs <> []);
-  (* one span per perform, tagged with the acting process's phase *)
-  let do_spans =
-    List.filter
-      (fun r ->
-        r.Obs.Sink.kind = Obs.Sink.Span
-        && String.length r.Obs.Sink.name > 3
-        && String.sub r.Obs.Sink.name 0 3 = "do(")
-      recs
-  in
-  Alcotest.(check int) "span per perform" (List.length dos)
-    (List.length do_spans);
-  List.iter
-    (fun r ->
-      match List.assoc_opt "phase" r.Obs.Sink.args with
-      | Some (J.String _) -> ()
-      | _ -> Alcotest.fail "record missing phase arg")
-    recs;
-  (* a null sink gives back the null probe: the fast path stays on *)
-  Alcotest.(check bool) "null sink -> null probe" true
-    (Shm.Probe.is_null (Obs.Bridge.sink_probe Obs.Sink.null))
-
-let test_executor_feeds_profile () =
-  let profile = Obs.Profile.create () in
-  let _, handles = kk_instance ~verbose:true ~n:12 ~m:2 ~beta:2 () in
-  ignore
-    (Shm.Executor.run ~trace_level:`Outcomes
-       ~probe:(Obs.Bridge.profile_probe profile)
-       ~scheduler:(Shm.Schedule.round_robin ())
-       ~adversary:Shm.Adversary.none handles);
-  let series = Obs.Profile.series profile in
-  let has prefix =
-    List.exists
-      (fun s ->
-        String.length s >= String.length prefix
-        && String.sub s 0 (String.length prefix) = prefix)
-      series
-  in
-  Alcotest.(check bool) "read series by phase" true (has "read@");
-  Alcotest.(check bool) "write series by phase" true (has "write@");
-  Alcotest.(check (list int)) "both pids seen" [ 1; 2 ] (Obs.Profile.pids profile)
 
 let test_profile_of_metrics () =
   let m = 3 in
@@ -651,118 +586,6 @@ let test_verdict_details () =
               trace)))
     cases
 
-(* ---- sinks under real domains (satellite c) ---- *)
-
-let test_tee_ordering () =
-  let a = Obs.Sink.memory () and b = Obs.Sink.memory () in
-  let t = Obs.Sink.tee [ a; Obs.Sink.null; b ] in
-  for i = 1 to 5 do
-    Obs.Sink.emit t (Obs.Sink.record ~ts:i ~kind:Obs.Sink.Instant "x")
-  done;
-  let ts s = List.map (fun r -> r.Obs.Sink.ts) (Obs.Sink.records s) in
-  Alcotest.(check (list int)) "first sink in order" [ 1; 2; 3; 4; 5 ] (ts a);
-  Alcotest.(check (list int)) "fan-out preserves order" (ts a) (ts b);
-  Alcotest.(check int) "tee total counts both" 10 (Obs.Sink.total_emitted t);
-  (* degenerate teelists collapse *)
-  Alcotest.(check bool) "all-null tee is null" true
-    (Obs.Sink.is_null (Obs.Sink.tee [ Obs.Sink.null; Obs.Sink.null ]));
-  Alcotest.(check bool) "locked null is null" true
-    (Obs.Sink.is_null (Obs.Sink.locked Obs.Sink.null))
-
-let test_locked_sink_multicore () =
-  (* every domain emits one mc.do instant per perform through one
-     shared locked sink: nothing may be lost or torn *)
-  let mem = Obs.Sink.memory () in
-  let sink = Obs.Sink.locked mem in
-  let outcome = Multicore.Runner.run_kk ~n:40 ~m:3 ~beta:3 ~sink () in
-  let recs = Obs.Sink.records sink in
-  Alcotest.(check int) "one record per perform" (List.length outcome.Multicore.Runner.dos)
-    (List.length recs);
-  (* fetch-and-add timestamps: all distinct, exactly 0..k-1 *)
-  let ts = List.sort compare (List.map (fun r -> r.Obs.Sink.ts) recs) in
-  Alcotest.(check (list int)) "dense unique timestamps"
-    (List.init (List.length recs) Fun.id)
-    ts;
-  List.iter
-    (fun r ->
-      Alcotest.(check string) "name intact" "mc.do" r.Obs.Sink.name;
-      Alcotest.(check bool) "kind instant" true (r.Obs.Sink.kind = Obs.Sink.Instant);
-      Alcotest.(check bool) "pid is a domain" true
-        (r.Obs.Sink.pid >= 1 && r.Obs.Sink.pid <= 3);
-      match List.assoc_opt "job" r.Obs.Sink.args with
-      | Some (J.Int j) -> Alcotest.(check bool) "job in range" true (j >= 1 && j <= 40)
-      | _ -> Alcotest.fail "record missing job arg")
-    recs;
-  (* the jobs recorded are exactly the jobs performed *)
-  let jobs_of l = List.sort compare l in
-  Alcotest.(check (list int)) "recorded jobs = performed jobs"
-    (jobs_of (List.map snd outcome.Multicore.Runner.dos))
-    (jobs_of
-       (List.filter_map
-          (fun r ->
-            match List.assoc_opt "job" r.Obs.Sink.args with
-            | Some (J.Int j) -> Some j
-            | _ -> None)
-          recs))
-
-let test_locked_jsonl_contention () =
-  (* four domains hammer one locked jsonl sink concurrently; every
-     line in the file must be a complete, parseable record — no torn
-     or interleaved writes — and the per-pid counts must be exact *)
-  let n_domains = 4 and per_domain = 500 in
-  let payload = String.make 64 'x' in
-  let tmp = Filename.temp_file "amo_locked" ".jsonl" in
-  let oc = open_out tmp in
-  let sink = Obs.Sink.locked (Obs.Sink.jsonl oc) in
-  let emitter pid () =
-    for i = 1 to per_domain do
-      Obs.Sink.emit sink
-        (Obs.Sink.record ~ts:i ~pid ~kind:Obs.Sink.Instant
-           ~args:[ ("seq", J.Int i); ("pad", J.String payload) ]
-           "stress.line")
-    done
-  in
-  let doms =
-    Array.init n_domains (fun i -> Domain.spawn (emitter (i + 1)))
-  in
-  Array.iter Domain.join doms;
-  Obs.Sink.flush sink;
-  close_out oc;
-  let counts = Array.make (n_domains + 1) 0 in
-  let ic = open_in tmp in
-  let lines = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lines;
-       match Obs.Json.parse line with
-       | Error e -> Alcotest.failf "torn line %d: %s" !lines e
-       | Ok (J.Obj fields) -> (
-           (match List.assoc_opt "name" fields with
-           | Some (J.String "stress.line") -> ()
-           | _ -> Alcotest.failf "line %d: name corrupted" !lines);
-           (match List.assoc_opt "args" fields with
-           | Some (J.Obj args) -> (
-               match List.assoc_opt "pad" args with
-               | Some (J.String p) when p = payload -> ()
-               | _ -> Alcotest.failf "line %d: payload corrupted" !lines)
-           | _ -> Alcotest.failf "line %d: args missing" !lines);
-           match List.assoc_opt "pid" fields with
-           | Some (J.Int pid) when pid >= 1 && pid <= n_domains ->
-               counts.(pid) <- counts.(pid) + 1
-           | _ -> Alcotest.failf "line %d: pid corrupted" !lines)
-       | Ok _ -> Alcotest.failf "line %d: not an object" !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove tmp;
-  Alcotest.(check int) "no lost lines" (n_domains * per_domain) !lines;
-  for pid = 1 to n_domains do
-    Alcotest.(check int)
-      (Printf.sprintf "pid %d count exact" pid)
-      per_domain counts.(pid)
-  done
-
 (* ---- golden HTML report ---- *)
 
 (* Replicates `amo_run report --plan test/golden/chaos_skip_recovery_mark.plan.json
@@ -927,9 +750,6 @@ let suite =
     Alcotest.test_case "snapshot diff detects 2x regression" `Quick
       test_snapshot_diff_detects_regression;
     Alcotest.test_case "sink ring buffer" `Quick test_sink_ring_buffer;
-    Alcotest.test_case "executor feeds sink" `Quick test_executor_feeds_sink;
-    Alcotest.test_case "executor feeds profile" `Quick
-      test_executor_feeds_profile;
     Alcotest.test_case "profile of metrics" `Quick test_profile_of_metrics;
     Alcotest.test_case "metrics merge + json" `Quick
       test_metrics_merge_and_json;
@@ -944,11 +764,6 @@ let suite =
     Alcotest.test_case "ledger-agreement oracle" `Quick
       test_ledger_agreement_oracle;
     Alcotest.test_case "verdict detail strings" `Quick test_verdict_details;
-    Alcotest.test_case "tee ordering" `Quick test_tee_ordering;
-    Alcotest.test_case "locked sink under domains" `Quick
-      test_locked_sink_multicore;
-    Alcotest.test_case "locked jsonl under 4-domain contention" `Quick
-      test_locked_jsonl_contention;
     Alcotest.test_case "golden html report" `Quick test_golden_report;
     Alcotest.test_case "libraries silent by default" `Quick
       test_libraries_silent_by_default;

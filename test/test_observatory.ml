@@ -365,19 +365,6 @@ let test_runner_rtevents_seam () =
   Alcotest.(check int) "one mc.run span" 1 (count "mc.run");
   Alcotest.(check int) "one mc.domain span per worker" 2 (count "mc.domain")
 
-let test_soak_rtevents_seam () =
-  let re = Obs.Rtevents.start () in
-  let s = Fault.Chaos.soak ~rtevents:re ~seed:5 ~count:3 ~n:6 ~m:2 ~beta:2 () in
-  let sum = Obs.Rtevents.stop re in
-  Alcotest.(check int) "soak ran" 3 s.Fault.Chaos.runs;
-  let runs =
-    List.length
-      (List.filter
-         (fun (sp : Obs.Rtevents.span) -> sp.Obs.Rtevents.name = "chaos.run")
-         sum.Obs.Rtevents.spans)
-  in
-  Alcotest.(check int) "one chaos.run span per run" 3 runs
-
 (* ---- observatory.exe end to end ---- *)
 
 let observatory_exe () =
@@ -505,7 +492,6 @@ let suite =
     Alcotest.test_case "gcstat probe attribution" `Quick
       test_gcstat_probe_attribution;
     Alcotest.test_case "runner rtevents seam" `Quick test_runner_rtevents_seam;
-    Alcotest.test_case "soak rtevents seam" `Quick test_soak_rtevents_seam;
     Alcotest.test_case "observatory.exe end to end" `Quick
       test_observatory_exe_end_to_end;
   ]

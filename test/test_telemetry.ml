@@ -1,13 +1,11 @@
-(* Tests for the online-telemetry layer: lock-free SPSC rings (FIFO,
-   wraparound, drop accounting, a real two-domain handoff), mergeable
-   quantile sketches (error bound, exact merge, k = 1 degeneration to
-   the histogram), the streaming oracle monitor (verdicts
-   byte-identical to Analysis.Oracle, fail-fast soak abort),
+(* Tests for the online-telemetry layer: mergeable quantile sketches
+   (error bound, exact merge, k = 1 degeneration to the histogram),
+   the streaming oracle monitor (verdicts byte-identical to
+   Analysis.Oracle, fail-fast soak abort),
    Prometheus exposition rendering, dashboard frames, JSON string
    escaping under fuzz, and the compare.exe --help golden. *)
 
 module J = Obs.Json
-module R = Obs.Ring
 module Sk = Obs.Sketch
 module M = Obs.Monitor
 module P = Fault.Plan
@@ -26,88 +24,6 @@ let read_file path =
 let golden name =
   List.find Sys.file_exists
     [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
-
-(* ---- ring ---- *)
-
-let test_ring_fifo_wraparound () =
-  let r = R.create 4 in
-  Alcotest.(check int) "capacity" 4 (R.capacity r);
-  List.iter (fun v -> Alcotest.(check bool) "push" true (R.push r v)) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "length" 4 (R.length r);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (R.pop r);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (R.pop r);
-  (* slots freed by pops are reusable: the ring wraps *)
-  Alcotest.(check bool) "push 5" true (R.push r 5);
-  Alcotest.(check bool) "push 6" true (R.push r 6);
-  Alcotest.(check (list int)) "peek oldest-first" [ 3; 4; 5; 6 ] (R.peek r);
-  let got = ref [] in
-  let n = R.drain r (fun v -> got := v :: !got) in
-  Alcotest.(check int) "drain count" 4 n;
-  Alcotest.(check (list int)) "drain order" [ 3; 4; 5; 6 ] (List.rev !got);
-  Alcotest.(check (option int)) "empty" None (R.pop r)
-
-let test_ring_drop_newest () =
-  let r = R.create 2 in
-  Alcotest.(check bool) "accept 1" true (R.push r 1);
-  Alcotest.(check bool) "accept 2" true (R.push r 2);
-  Alcotest.(check bool) "reject 3" false (R.push r 3);
-  Alcotest.(check bool) "reject 4" false (R.push r 4);
-  (* drop-newest: buffered history is never overwritten *)
-  Alcotest.(check (list int)) "history intact" [ 1; 2 ] (R.peek r);
-  Alcotest.(check int) "dropped" 2 (R.dropped r);
-  Alcotest.(check int) "accepted" 2 (R.accepted r);
-  Alcotest.(check int) "total offered" 4 (R.total_offered r);
-  ignore (R.pop r);
-  Alcotest.(check bool) "accept after pop" true (R.push r 5);
-  Alcotest.(check int) "dropped unchanged" 2 (R.dropped r)
-
-let test_ring_create_validation () =
-  Alcotest.check_raises "cap 0"
-    (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
-      ignore (R.create 0))
-
-(* A real producer domain races a consumer: every value must arrive,
-   in order, with no drops (the consumer keeps the ring drained) —
-   the release/acquire pairing on head/tail is what's under test. *)
-let test_ring_spsc_two_domains () =
-  let total = 50_000 in
-  let r = R.create 64 in
-  let producer =
-    Domain.spawn (fun () ->
-        for v = 1 to total do
-          while not (R.push r v) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let received = ref 0 and in_order = ref true in
-  while !received < total do
-    match R.pop r with
-    | Some v ->
-        incr received;
-        if v <> !received then in_order := false
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  Alcotest.(check bool) "all values in order" true !in_order;
-  Alcotest.(check int) "nothing left" 0 (R.length r);
-  Alcotest.(check int) "accepted = total" total (R.accepted r)
-
-let test_sink_ring () =
-  let r = R.create 2 in
-  let sink = Obs.Sink.ring r in
-  for i = 1 to 3 do
-    Obs.Sink.emit sink
-      (Obs.Sink.record ~ts:i ~kind:Obs.Sink.Instant (Printf.sprintf "ev%d" i))
-  done;
-  Alcotest.(check int) "ring kept oldest two" 2 (List.length (Obs.Sink.records sink));
-  Alcotest.(check (list string)) "oldest-first"
-    [ "ev1"; "ev2" ]
-    (List.map (fun (rc : Obs.Sink.record) -> rc.Obs.Sink.name)
-       (Obs.Sink.records sink));
-  Alcotest.(check int) "total_emitted counts drops" 3
-    (Obs.Sink.total_emitted sink);
-  Alcotest.(check int) "drop visible on the ring" 1 (R.dropped r)
 
 (* ---- sketch ---- *)
 
@@ -288,28 +204,6 @@ let test_monitor_streaming_trip () =
   Alcotest.(check int) "two violations streamed" 2
     (List.length (M.at_most_once mon));
   Alcotest.(check int) "distinct counts jobs once" 1 (M.distinct mon)
-
-(* Monitor fates must agree with the post-hoc ledger on recovery
-   traces (same precedence rules, computed incrementally). *)
-let test_monitor_fates_match_ledger () =
-  let root = Util.Prng.of_int 77 in
-  for i = 0 to 5 do
-    let plan =
-      P.gen ~recovery:true ~stalls:true
-        ~name:(Printf.sprintf "fates-%02d" i)
-        ~n:10 ~m:3 ~beta:3 (Util.Prng.split root)
-    in
-    let r = C.run_plan plan in
-    let mon = monitor_of_trace ~n:10 ~m:3 ~beta:3 r.C.trace in
-    let f = M.fates mon in
-    let c = Obs.Ledger.counts (Obs.Ledger.of_trace ~n:10 ~m:3 r.C.trace) in
-    let name fld = Printf.sprintf "plan %d %s" i fld in
-    Alcotest.(check int) (name "performed") c.Obs.Ledger.performed f.M.performed;
-    Alcotest.(check int) (name "forfeited") c.Obs.Ledger.forfeited f.M.forfeited;
-    Alcotest.(check int) (name "lost") c.Obs.Ledger.lost f.M.lost;
-    Alcotest.(check int) (name "recovered") c.Obs.Ledger.recovered f.M.recovered;
-    Alcotest.(check int) (name "doubly") c.Obs.Ledger.violations f.M.doubly
-  done
 
 (* A fail-fast soak over the skip-check mutant must stop at the first
    streaming violation: aborted = true, and the stats stop at the
@@ -600,15 +494,6 @@ let test_compare_help_golden () =
 
 let suite =
   [
-    Alcotest.test_case "ring FIFO and wraparound" `Quick
-      test_ring_fifo_wraparound;
-    Alcotest.test_case "ring drops newest, counts drops" `Quick
-      test_ring_drop_newest;
-    Alcotest.test_case "ring validates capacity" `Quick
-      test_ring_create_validation;
-    Alcotest.test_case "ring SPSC across two domains" `Quick
-      test_ring_spsc_two_domains;
-    Alcotest.test_case "sink ring variant" `Quick test_sink_ring;
     Alcotest.test_case "sketch basics" `Quick test_sketch_basics;
     Alcotest.test_case "sketch merge k mismatch" `Quick
       test_sketch_merge_mismatch;
@@ -621,8 +506,6 @@ let suite =
       test_monitor_agrees_on_random_plans;
     Alcotest.test_case "monitor streams at-most-once trips" `Quick
       test_monitor_streaming_trip;
-    Alcotest.test_case "monitor fates match ledger" `Quick
-      test_monitor_fates_match_ledger;
     Alcotest.test_case "fail-fast soak aborts on mutant" `Quick
       test_failfast_soak_aborts;
     Alcotest.test_case "fail-fast soak clean" `Quick test_failfast_clean_soak;
