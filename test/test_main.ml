@@ -33,5 +33,6 @@ let () =
       ("observatory", Test_observatory.suite);
       ("fault", Test_fault.suite);
       ("fuzz", Test_fuzz.suite);
+      ("cli", Test_cli.suite);
       ("conformance", Test_conformance.suite);
     ]
