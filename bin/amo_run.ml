@@ -1,52 +1,41 @@
 (* amo_run: command-line driver for every algorithm in the library.
 
-   Examples:
-     amo_run kk --jobs 1000 --procs 8
-     amo_run kk --jobs 1000 --procs 8 --beta 192 --sched random --seed 7 --crashes 3
-     amo_run kk --jobs 200 --procs 4 --trace-out kk.trace.json   # open in Perfetto
-     amo_run kk --jobs 1000 --procs 8 --json                     # machine-readable
-     amo_run worst --jobs 1000 --procs 8
-     amo_run iterative --jobs 65536 --procs 8 --eps-inv 2
-     amo_run wa --jobs 65536 --procs 8 --eps-inv 2
-     amo_run trivial --jobs 1000 --procs 8 --crashes 2
-     amo_run pairing --jobs 1000 --procs 8 --crashes 2
-     amo_run multicore --jobs 20000 --procs 4
-     amo_run chaos --soak 500 --jobs 20 --procs 4 --seed 3
-     amo_run chaos --plan CHAOS_counterexample.json            # replay, exit 1
-     amo_run explore --jobs 3 --procs 2 --domains 4 --fingerprint
-     amo_run explore --jobs 4 --procs 2 --domains 2 --differential --json
+   Examples: README.md, section CLI.
 
    Exit status: 0 on success, 1 when a run violates its oracle
    (at-most-once, Write-All completeness, or a tight-bound prediction),
-   2 on usage errors. *)
+   2 on a bad input file or log level, 124 on a bad flag value (a
+   count below 1, --crashes outside 0..procs-1).
+
+   Layout: Cli holds the shared flags, the result printer and the
+   file writer; Run_cmds, Search_cmds, Report_cmds and Trace_cmds hold
+   the commands, one module per family. *)
 
 open Cmdliner
 module J = Obs.Json
-
-let version_string = "1.0.0"
 open Cli
 open Run_cmds
 open Search_cmds
 open Report_cmds
 open Trace_cmds
 
+let version_string = "1.0.0"
+
+(* archived artifacts (BENCH_*.json baselines, Prometheus snapshots)
+   are attributable to a binary + snapshot schema pair *)
 let version_cmd =
   let run json =
-    (* archived artifacts (BENCH_*.json baselines, Prometheus
-       snapshots) are attributable to a binary + snapshot schema pair *)
-    if json then
-      print_endline
-        (J.to_string ~minify:false
-           (J.Obj
-              [
-                ("version", J.String version_string);
-                ("snapshot_schema_version", J.Int Obs.Snapshot.schema_version);
-              ]))
-    else begin
-      Fmt.pr "amo_run %s@." version_string;
-      Fmt.pr "snapshot schema : v%d (BENCH_*.json / bench/compare.exe)@."
-        Obs.Snapshot.schema_version
-    end
+    print ~json
+      [
+        {
+          lines = [ "amo_run " ^ version_string ];
+          fields = [ ("version", J.String version_string) ];
+        };
+        row "snapshot schema"
+          (Printf.sprintf "v%d (BENCH_*.json / bench/compare.exe)"
+             Obs.Snapshot.schema_version)
+          [ ("snapshot_schema_version", J.Int Obs.Snapshot.schema_version) ];
+      ]
   in
   let doc =
     "Print the binary version and the Obs.Snapshot schema version, so \

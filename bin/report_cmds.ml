@@ -1,96 +1,74 @@
+(* Explaining one run: report (HTML run report, causal why-chains) and
+   profile (GC attribution and runtime events). *)
+
 open Cmdliner
 module J = Obs.Json
 open Cli
 
 let report_cmd =
-  let run n m beta_opt seed sched_kind f plan_file whys out ledger_out
-      log_level =
-    apply_log_level log_level;
+  let run ({ n; m; f; seed; sched } as sim) beta_opt plan_file whys out ledger_out =
     (* obtain a provenance-rich `Full trace plus the run's identity:
        either a fault-plan replay or a plain KK run from the knobs *)
-    let run_name, nn, mm, bb, trace, plan_json, params =
+    let run_name, n, m, beta, trace, plan_json, params =
       match plan_file with
       | Some path -> (
           match Fault.Plan.load path with
           | Error e ->
               Fmt.epr "amo_run: %s: %s@." path e;
               exit 2
-          | Ok plan when plan.Fault.Plan.net <> [] ->
+          | Ok plan when plan.net <> [] ->
               Fmt.epr
                 "amo_run report: message-passing plans have no shared-memory \
                  trace to report on@.";
               exit 2
           | Ok plan ->
               let r = Fault.Chaos.run_plan ~trace_level:`Full plan in
-              ( plan.Fault.Plan.name,
-                plan.Fault.Plan.n,
-                plan.Fault.Plan.m,
-                plan.Fault.Plan.beta,
-                r.Fault.Chaos.trace,
+              ( plan.name,
+                plan.n,
+                plan.m,
+                plan.beta,
+                r.trace,
                 Some (Fault.Plan.to_json plan),
-                [
-                  ("plan", path);
-                  ("n", string_of_int plan.Fault.Plan.n);
-                  ("m", string_of_int plan.Fault.Plan.m);
-                  ("beta", string_of_int plan.Fault.Plan.beta);
-                  ("seed", string_of_int plan.Fault.Plan.seed);
-                ] ))
+                ("plan", path)
+                :: int_params
+                     [ ("n", plan.n); ("m", plan.m); ("beta", plan.beta); ("seed", plan.seed) ]
+              ))
       | None ->
           let beta = Option.value beta_opt ~default:m in
-          let rng = Util.Prng.of_int seed in
+          let scheduler, adversary = sim_env sim in
           let s =
-            Core.Harness.kk
-              ~scheduler:(make_sched sched_kind rng)
-              ~adversary:(make_adversary rng ~f ~m ~n)
-              ~trace_level:`Full ~verbose:true ~provenance:true ~vclocks:true
-              ~n ~m ~beta ()
-          in
-          let sched_name =
-            match sched_kind with
-            | `Rr -> "rr"
-            | `Random -> "random"
-            | `Bursty -> "bursty"
+            Core.Harness.kk ~scheduler ~adversary ~trace_level:`Full ~verbose:true
+              ~provenance:true ~n ~m ~beta ()
           in
           ( Printf.sprintf "KK(beta=%d)" beta,
             n,
             m,
             beta,
-            s.Core.Harness.trace,
+            s.trace,
             None,
-            [
-              ("n", string_of_int n);
-              ("m", string_of_int m);
-              ("beta", string_of_int beta);
-              ("sched", sched_name);
-              ("crashes", string_of_int f);
-              ("seed", string_of_int seed);
-            ] )
+            int_params [ ("n", n); ("m", m); ("beta", beta) ]
+            @ (("sched", sched_name sched) :: int_params [ ("crashes", f); ("seed", seed) ]) )
     in
-    let ledger = Obs.Ledger.of_trace ~n:nn ~m:mm trace in
-    let heatmap = Obs.Heatmap.of_trace trace in
+    let ledger = Obs.Ledger.of_trace ~n ~m trace in
     (* one verdict row per oracle, ledger agreement included;
        effectiveness/quiescence are gated on Lemma 4.3's termination
        condition (beta >= m), as in the chaos suite *)
-    let oracles =
-      Analysis.Oracle.suite ~n:nn ~m:mm ~beta:bb
-      @ [ Analysis.Oracle.ledger_agreement ~n:nn ~m:mm ~beta:bb ]
-    in
     let verdicts =
       List.map
         (fun (o : Analysis.Oracle.t) ->
-          match o.Analysis.Oracle.check trace with
-          | [] -> (o.Analysis.Oracle.name, true, "OK")
+          match o.check trace with
+          | [] -> (o.name, true, "OK")
           | vs ->
-              ( o.Analysis.Oracle.name,
+              ( o.name,
                 false,
-                String.concat "; "
-                  (List.map (fun v -> v.Analysis.Oracle.detail) vs) ))
-        oracles
+                String.concat "; " (List.map (fun v -> v.Analysis.Oracle.detail) vs) ))
+        (Analysis.Oracle.suite ~n ~m ~beta
+        @ [ Analysis.Oracle.ledger_agreement ~n ~m ~beta ])
     in
     let why =
       List.map
         (fun job ->
-          let chain = Obs.Span.causal_chain ~m:mm trace ~job in
+          let chain = Obs.Span.causal_chain ~m trace ~job in
           (job, Obs.Ledger.explain ledger job :: List.map Obs.Span.render chain))
         (List.sort_uniq compare whys)
     in
@@ -100,28 +78,15 @@ let report_cmd =
         Fmt.pr "why job %d:@." job;
         List.iter (fun l -> Fmt.pr "  %s@." l) lines)
       why;
-    let html =
-      Obs.Report.make ~run_name ~params ~ledger ~heatmap ~verdicts ?plan_json
-        ~why ~trace ()
-    in
-    Obs.Report.write_file ~path:out html;
-    Fmt.pr "report          : %s@." out;
-    (match ledger_out with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (J.to_string ~minify:false (Obs.Ledger.to_json ledger));
-        output_char oc '\n';
-        close_out oc;
-        Fmt.pr "ledger JSON     : %s@." path
-    | None -> ());
+    save ~json:false "report" out
+      (Obs.Report.make ~run_name ~params ~ledger ~heatmap:(Obs.Heatmap.of_trace trace)
+         ~verdicts ?plan_json ~why ~trace ());
+    Option.iter
+      (fun path ->
+        save ~json:false "ledger JSON" path
+          (J.to_string ~minify:false (Obs.Ledger.to_json ledger) ^ "\n"))
+      ledger_out;
     if List.exists (fun (_, ok, _) -> not ok) verdicts then exit 1
-  in
-  let plan_file =
-    let doc =
-      "Build the report from a fault-plan replay (shared-memory plans only) \
-       instead of a plain KK run."
-    in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
   in
   let whys =
     let doc =
@@ -136,194 +101,138 @@ let report_cmd =
   in
   let ledger_out =
     let doc = "Also write the per-job ledger as JSON to $(docv)." in
-    Arg.(
-      value & opt (some string) None & info [ "ledger-out" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some string) None & info [ "ledger-out" ] ~docv:"FILE" ~doc)
   in
   let doc =
     "Run KKbeta (or replay a fault plan) and emit a self-contained HTML run \
      report: oracle verdicts, per-job provenance ledger, SVG timeline, \
      register-contention heatmap and causal why-chains."
   in
-  Cmd.v (Cmd.info "report" ~doc)
+  cmd "report" ~doc
     Term.(
-      const run $ jobs $ procs $ beta $ seed $ sched $ crashes $ plan_file
-      $ whys $ out $ ledger_out $ log_level)
+      const run $ sim $ beta
+      $ plan_file
+          "Build the report from a fault-plan replay (shared-memory plans \
+           only) instead of a plain KK run."
+      $ whys $ out $ ledger_out)
+
+(* ---- profile ---- *)
+
+let rtevents_row (summary : Obs.Rtevents.summary) =
+  {
+    lines =
+      line "runtime events"
+        (Printf.sprintf "%d (%d lost), total GC %d us" summary.events summary.lost
+           (Obs.Rtevents.total_gc_us summary))
+      :: List.map
+           (fun (name, count, dur_us) ->
+             Printf.sprintf "  %-24s %6d spans %10d us" name count dur_us)
+           (Obs.Rtevents.by_phase summary);
+    fields = [ ("rtevents", Obs.Rtevents.summary_json summary) ];
+  }
+
+(* The Chrome trace and Prometheus snapshot of a profile *)
+let write_profile ~json ~trace_out ~prom_out chrome metrics =
+  Option.iter (fun path -> save ~json "chrome trace" path (chrome ())) trace_out;
+  Option.iter (fun path -> save ~json "prometheus" path (prom_snapshot metrics)) prom_out
+
+(* real domains: there is no executor probe seam, so profiling is
+   runtime-events only — mc.run/mc.domain spans, GC phases and
+   counters straight from the runtime *)
+let profile_mc ~json ~n ~m ~beta ~trace_out ~prom_out =
+  let re = Obs.Rtevents.start () in
+  let outcome = Multicore.Runner.run_kk ~n ~m ~beta ~rtevents:re () in
+  let summary = Obs.Rtevents.stop re in
+  let do_count = List.length outcome.dos in
+  print ~json
+    [
+      row "algorithm"
+        (Printf.sprintf "KK(beta=%d) on %d domains" beta m)
+        (head ~algorithm:"mc-profile" ~n ~m @ [ ("beta", J.Int beta) ]);
+      row "jobs performed" (Printf.sprintf "%d / %d" do_count n)
+        [ ("do_count", J.Int do_count) ];
+      row "wall seconds"
+        (Printf.sprintf "%.4f" outcome.wall_seconds)
+        [ ("wall_seconds", J.Float outcome.wall_seconds) ];
+      rtevents_row summary;
+    ];
+  (* runtime tracks only: there is no logical-step trace here *)
+  write_profile ~json ~trace_out ~prom_out
+    (fun () ->
+      J.to_string ~minify:false
+        (J.Obj
+           [
+             ("traceEvents", J.List (Obs.Rtevents.trace_events summary));
+             ("displayTimeUnit", J.String "ms");
+           ]))
+    (Obs.Rtevents.prom summary)
+
+(* simulator: a Gcstat probe rides the executor's event stream,
+   attributing allocation to (pid, phase); --rtevents adds the
+   runtime's own view on top.  The run is traced at `Full with verbose
+   memory events so attribution has per-access granularity — profile
+   numbers include tracing cost, which is the honest figure for an
+   instrumented run. *)
+let profile_sim ~json ({ n; m; f; seed; _ } as sim) ~beta ~rtevents ~trace_out
+    ~prom_out ~report_out =
+  let gc = Obs.Gcstat.create () in
+  let re = if rtevents then Some (Obs.Rtevents.start ()) else None in
+  let scheduler, adversary = sim_env sim in
+  let body () =
+    Core.Harness.kk ~scheduler ~adversary ~trace_level:`Full ~verbose:true
+      ~provenance:(report_out <> None) ~probe:(Obs.Gcstat.probe gc) ~n ~m ~beta ()
+  in
+  let s =
+    match re with
+    | Some _ -> Obs.Rtevents.with_span "kk.run" body
+    | None -> body ()
+  in
+  let rsummary = Option.map Obs.Rtevents.stop re in
+  let run_name = Printf.sprintf "KK(beta=%d) profile" beta in
+  print ~json
+    ([
+       row "algorithm"
+         (Printf.sprintf "KK(beta=%d), simulator" beta)
+         (head ~algorithm:"kk-profile" ~n ~m @ [ ("beta", J.Int beta) ]);
+       row "jobs performed" (Printf.sprintf "%d / %d" s.do_count n)
+         [ ("do_count", J.Int s.do_count) ];
+       int_row "executor steps" "steps" s.steps;
+       {
+         lines = [ Format.asprintf "%a" Obs.Gcstat.pp gc ];
+         fields = [ ("gcstat", Obs.Gcstat.to_json gc) ];
+       };
+     ]
+    @ Option.to_list (Option.map rtevents_row rsummary));
+  let heatmap = Obs.Heatmap.of_trace s.trace in
+  write_profile ~json ~trace_out ~prom_out
+    (fun () ->
+      Obs.Chrome_trace.to_string ~run_name ~heatmap
+        ~extra:(Option.fold ~none:[] ~some:Obs.Rtevents.trace_events rsummary)
+        ~m s.trace)
+    (fun reg ->
+      Obs.Gcstat.prom gc reg;
+      Option.iter (fun summary -> Obs.Rtevents.prom summary reg) rsummary);
+  Option.iter
+    (fun path ->
+      save ~json "html report" path
+        (Obs.Report.make ~run_name
+           ~params:
+             (int_params
+                [ ("n", n); ("m", m); ("beta", beta); ("seed", seed); ("crashes", f) ])
+           ~ledger:(Obs.Ledger.of_trace ~n ~m s.trace)
+           ~heatmap ~gcstat:gc ~trace:s.trace ()))
+    report_out
 
 let profile_cmd =
-  let run n m beta_opt seed sched_kind f mc rtevents_flag log_level json
-      trace_out prom_out report_out =
-    apply_log_level log_level;
+  let run ({ n; m; _ } as sim) beta_opt mc rtevents json trace_out prom_out report_out =
     let beta = Option.value beta_opt ~default:m in
-    let prom_write ~fill dir =
-      let reg = Obs.Prom.create () in
-      fill reg;
-      let path = Filename.concat dir "amo_profile.prom" in
-      Obs.Prom.write_file reg path;
-      if not json then Fmt.pr "prometheus      : %s@." path
-    in
-    if mc then begin
-      (* real domains: there is no executor probe seam, so profiling
-         is runtime-events only — mc.run/mc.domain spans, GC phases
-         and counters straight from the runtime *)
-      (match report_out with
-      | Some _ ->
-          Fmt.epr
-            "amo_run profile: --report-out needs the simulator (drop --mc)@.";
-          exit 2
-      | None -> ());
-      let re = Obs.Rtevents.start () in
-      let outcome = Multicore.Runner.run_kk ~n ~m ~beta ~rtevents:re () in
-      let summary = Obs.Rtevents.stop re in
-      let do_count = List.length outcome.Multicore.Runner.dos in
-      if json then
-        print_endline
-          (J.to_string ~minify:false
-             (J.Obj
-                [
-                  ("algorithm", J.String "mc-profile");
-                  ("n", J.Int n);
-                  ("m", J.Int m);
-                  ("beta", J.Int beta);
-                  ("do_count", J.Int do_count);
-                  ( "wall_seconds",
-                    J.Float outcome.Multicore.Runner.wall_seconds );
-                  ("rtevents", Obs.Rtevents.summary_json summary);
-                ]))
-      else begin
-        Fmt.pr "algorithm       : KK(beta=%d) on %d domains@." beta m;
-        Fmt.pr "jobs performed  : %d / %d@." do_count n;
-        Fmt.pr "wall seconds    : %.4f@." outcome.Multicore.Runner.wall_seconds;
-        Fmt.pr "runtime events  : %d (%d lost), total GC %d us@."
-          summary.Obs.Rtevents.events summary.Obs.Rtevents.lost
-          (Obs.Rtevents.total_gc_us summary);
-        List.iter
-          (fun (name, count, dur_us) ->
-            Fmt.pr "  %-24s %6d spans %10d us@." name count dur_us)
-          (Obs.Rtevents.by_phase summary)
-      end;
-      (match trace_out with
-      | Some path ->
-          (* runtime tracks only: there is no logical-step trace here *)
-          let doc =
-            J.Obj
-              [
-                ( "traceEvents",
-                  J.List (Obs.Rtevents.trace_events summary) );
-                ("displayTimeUnit", J.String "ms");
-              ]
-          in
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (J.to_string ~minify:false doc));
-          if not json then Fmt.pr "chrome trace    : %s@." path
-      | None -> ());
-      (match prom_out with
-      | Some dir -> prom_write dir ~fill:(fun reg -> Obs.Rtevents.prom summary reg)
-      | None -> ())
+    if not mc then
+      profile_sim ~json sim ~beta ~rtevents ~trace_out ~prom_out ~report_out
+    else if report_out <> None then begin
+      Fmt.epr "amo_run profile: --report-out needs the simulator (drop --mc)@.";
+      exit 2
     end
-    else begin
-      (* simulator: a Gcstat probe rides the executor's event stream,
-         attributing allocation to (pid, phase); --rtevents adds the
-         runtime's own view on top.  The run is traced at `Full with
-         verbose memory events so attribution has per-access
-         granularity — profile numbers include tracing cost, which is
-         the honest figure for an instrumented run. *)
-      let rng = Util.Prng.of_int seed in
-      let gc = Obs.Gcstat.create () in
-      let re = if rtevents_flag then Some (Obs.Rtevents.start ()) else None in
-      let body () =
-        Core.Harness.kk
-          ~scheduler:(make_sched sched_kind rng)
-          ~adversary:(make_adversary rng ~f ~m ~n)
-          ~trace_level:`Full ~verbose:true
-          ~provenance:(report_out <> None)
-          ~probe:(Obs.Gcstat.probe gc) ~n ~m ~beta ()
-      in
-      let s =
-        match re with
-        | Some _ -> Obs.Rtevents.with_span "kk.run" body
-        | None -> body ()
-      in
-      let rsummary = Option.map Obs.Rtevents.stop re in
-      if json then
-        print_endline
-          (J.to_string ~minify:false
-             (J.Obj
-                ([
-                   ("algorithm", J.String "kk-profile");
-                   ("n", J.Int n);
-                   ("m", J.Int m);
-                   ("beta", J.Int beta);
-                   ("do_count", J.Int s.Core.Harness.do_count);
-                   ("steps", J.Int s.Core.Harness.steps);
-                   ("gcstat", Obs.Gcstat.to_json gc);
-                 ]
-                @
-                match rsummary with
-                | Some summary ->
-                    [ ("rtevents", Obs.Rtevents.summary_json summary) ]
-                | None -> [])))
-      else begin
-        Fmt.pr "algorithm       : KK(beta=%d), simulator@." beta;
-        Fmt.pr "jobs performed  : %d / %d@." s.Core.Harness.do_count n;
-        Fmt.pr "executor steps  : %d@." s.Core.Harness.steps;
-        Fmt.pr "%a@." Obs.Gcstat.pp gc;
-        match rsummary with
-        | Some summary ->
-            Fmt.pr "runtime events  : %d (%d lost), total GC %d us@."
-              summary.Obs.Rtevents.events summary.Obs.Rtevents.lost
-              (Obs.Rtevents.total_gc_us summary);
-            List.iter
-              (fun (name, count, dur_us) ->
-                Fmt.pr "  %-24s %6d spans %10d us@." name count dur_us)
-              (Obs.Rtevents.by_phase summary)
-        | None -> ()
-      end;
-      (match trace_out with
-      | Some path ->
-          let extra =
-            match rsummary with
-            | Some summary -> Obs.Rtevents.trace_events summary
-            | None -> []
-          in
-          Obs.Chrome_trace.write_file
-            ~run_name:(Printf.sprintf "KK(beta=%d) profile" beta)
-            ~heatmap:(Obs.Heatmap.of_trace s.Core.Harness.trace)
-            ~extra ~m ~path s.Core.Harness.trace;
-          if not json then Fmt.pr "chrome trace    : %s@." path
-      | None -> ());
-      (match prom_out with
-      | Some dir ->
-          prom_write dir ~fill:(fun reg ->
-              Obs.Gcstat.prom gc reg;
-              match rsummary with
-              | Some summary -> Obs.Rtevents.prom summary reg
-              | None -> ())
-      | None -> ());
-      match report_out with
-      | Some path ->
-          let trace = s.Core.Harness.trace in
-          let ledger = Obs.Ledger.of_trace ~n ~m trace in
-          let html =
-            Obs.Report.make
-              ~run_name:(Printf.sprintf "KK(beta=%d) profile" beta)
-              ~params:
-                [
-                  ("n", string_of_int n);
-                  ("m", string_of_int m);
-                  ("beta", string_of_int beta);
-                  ("seed", string_of_int seed);
-                  ("crashes", string_of_int f);
-                ]
-              ~ledger
-              ~heatmap:(Obs.Heatmap.of_trace trace)
-              ~gcstat:gc ~trace ()
-          in
-          Obs.Report.write_file ~path html;
-          if not json then Fmt.pr "html report     : %s@." path
-      | None -> ()
-    end
+    else profile_mc ~json ~n ~m ~beta ~trace_out ~prom_out
   in
   let mc_flag =
     let doc =
@@ -341,27 +250,23 @@ let profile_cmd =
     Arg.(value & flag & info [ "rtevents" ] ~doc)
   in
   let prom_out =
-    let doc =
+    prom_out ~file:"amo_profile.prom"
       "Write a Prometheus snapshot of the profile (GC attribution + runtime \
        events) to $(docv)/amo_profile.prom."
-    in
-    Arg.(value & opt (some string) None & info [ "prom-out" ] ~docv:"DIR" ~doc)
   in
   let report_out =
     let doc =
       "Write the self-contained HTML run report, GC-attribution section \
        included, to $(docv)."
     in
-    Arg.(
-      value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
   in
   let doc =
     "Profile a run: per-phase GC attribution via the executor probe seam, \
      and optionally the runtime's own event stream (GC phases, domain \
      lifecycle) via OCaml 5 Runtime_events."
   in
-  Cmd.v (Cmd.info "profile" ~doc)
+  cmd "profile" ~doc
     Term.(
-      const run $ jobs $ procs $ beta $ seed $ sched $ crashes $ mc_flag
-      $ rtevents_flag $ log_level $ json_flag $ trace_out $ prom_out
-      $ report_out)
+      const run $ sim $ beta $ mc_flag $ rtevents_flag $ json_flag $ trace_out
+      $ prom_out $ report_out)

@@ -1,11 +1,21 @@
+(* Searching for violations: explore (exhaustive model checking),
+   chaos (fault-plan soak and replay) and fuzz (coverage-guided). *)
+
 open Cmdliner
 module J = Obs.Json
 open Cli
 
+let violation_lines vs =
+  text
+    (List.map
+       (fun v -> line "violation" (Format.asprintf "%a" Analysis.Oracle.pp_violation v))
+       vs)
+
+let violation_names vs =
+  J.List (List.map (fun v -> J.String v.Analysis.Oracle.oracle) vs)
+
 let explore_cmd =
-  let run n m beta_opt branch_depth max_steps domains fingerprint differential
-      log_level json =
-    apply_log_level log_level;
+  let run n m beta_opt branch_depth max_steps domains fingerprint differential json =
     let beta = Option.value beta_opt ~default:m in
     let factory () =
       let metrics = Shm.Metrics.create ~m in
@@ -29,110 +39,93 @@ let explore_cmd =
         ~max_steps ~oracles ()
     in
     let elapsed = Unix.gettimeofday () -. t0 in
-    let canonical_set explore_fn =
-      let tbl = Hashtbl.create 1024 in
-      ignore
-        (explore_fn (fun (e : Analysis.Explore.execution) ->
-             Hashtbl.replace tbl
-               (Analysis.Explore.canonical_do_log e.Analysis.Explore.dos)
-               ()));
-      List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
-    in
     let diff_ok =
       if not differential then None
       else
         (* cross-validate against one domain with the cache off: the
            canonical do-log sets must coincide exactly *)
         let set_of ~domains ~fingerprint =
-          canonical_set (fun f ->
-              Analysis.Explore.explore ~domains ~fingerprint ~factory
-                ~branch_depth ~max_steps ~on_execution:f ())
+          let tbl = Hashtbl.create 1024 in
+          ignore
+            (Analysis.Explore.explore ~domains ~fingerprint ~factory ~branch_depth
+               ~max_steps
+               ~on_execution:(fun e ->
+                 Hashtbl.replace tbl (Analysis.Explore.canonical_do_log e.dos) ())
+               ());
+          List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
         in
-        Some
-          (set_of ~domains:1 ~fingerprint:false = set_of ~domains ~fingerprint)
+        Some (set_of ~domains:1 ~fingerprint:false = set_of ~domains ~fingerprint)
     in
-    let stats = report.Analysis.Explore.stats in
-    if json then
-      let cache_json =
-        match stats.Analysis.Explore.cache with
-        | None -> J.Null
-        | Some c ->
-            J.Obj
-              [
-                ("hits", J.Int c.Analysis.Fingerprint.hits);
-                ("misses", J.Int c.Analysis.Fingerprint.misses);
-                ("evictions", J.Int c.Analysis.Fingerprint.evictions);
-                ("capacity", J.Int c.Analysis.Fingerprint.capacity);
-              ]
-      in
-      print_endline
-        (J.to_string ~minify:false
-           (J.Obj
-              [
-                ("n", J.Int n);
-                ("m", J.Int m);
-                ("beta", J.Int beta);
-                ("domains", J.Int domains);
-                ("fingerprint", J.Bool fingerprint);
-                ("executions", J.Int stats.Analysis.Explore.executions);
-                ( "fully_exhaustive",
-                  J.Bool stats.Analysis.Explore.fully_exhaustive );
-                ("work_items", J.Int stats.Analysis.Explore.work_items);
-                ("steals", J.Int stats.Analysis.Explore.steals);
-                ("cache", cache_json);
-                ("violations", J.Int report.Analysis.Explore.violating);
-                ( "differential_ok",
-                  match diff_ok with Some b -> J.Bool b | None -> J.Null );
-                ("seconds", J.Float elapsed);
-              ]))
-    else begin
-      Fmt.pr "instance        : KK n=%d m=%d beta=%d@." n m beta;
-      Fmt.pr "domains         : %d (%d work items, %d steals)@." domains
-        stats.Analysis.Explore.work_items stats.Analysis.Explore.steals;
-      Fmt.pr "executions      : %d%s@." stats.Analysis.Explore.executions
-        (if stats.Analysis.Explore.fully_exhaustive then " (complete)"
-         else " (budget-truncated)");
-      (match stats.Analysis.Explore.cache with
-      | None -> Fmt.pr "fingerprints    : off@."
+    let stats = report.stats in
+    let cache_row =
+      match stats.cache with
+      | None -> row "fingerprints" "off" [ ("cache", J.Null) ]
       | Some c ->
-          let total = c.Analysis.Fingerprint.hits + c.Analysis.Fingerprint.misses in
-          Fmt.pr "fingerprints    : %d hits / %d lookups (%.1f%%), %d evictions@."
-            c.Analysis.Fingerprint.hits total
-            (if total = 0 then 0.
-             else
-               100.
-               *. float_of_int c.Analysis.Fingerprint.hits
-               /. float_of_int total)
-            c.Analysis.Fingerprint.evictions);
-      (match diff_ok with
-      | Some true -> Fmt.pr "differential    : OK (canonical sets identical)@."
-      | Some false -> Fmt.pr "differential    : MISMATCH@."
-      | None -> ());
-      Fmt.pr "oracles         : %s@."
-        (if report.Analysis.Explore.violating = 0 then "OK"
-         else Printf.sprintf "%d VIOLATED" report.Analysis.Explore.violating);
-      Fmt.pr "wall clock      : %.2fs@." elapsed
-    end;
-    (match report.Analysis.Explore.shrunk with
-    | Some (sched, vs) when not json ->
-        Fmt.pr "counterexample  : %d-step schedule [%s]@." (List.length sched)
-          (String.concat "; " (List.map string_of_int sched));
-        List.iter
-          (fun v ->
-            Fmt.pr "violation       : %s@."
-              (Format.asprintf "%a" Analysis.Oracle.pp_violation v))
-          vs
-    | _ -> ());
+          let total = c.hits + c.misses in
+          row "fingerprints"
+            (Printf.sprintf "%d hits / %d lookups (%.1f%%), %d evictions" c.hits total
+               (if total = 0 then 0.
+                else 100. *. float_of_int c.hits /. float_of_int total)
+               c.evictions)
+            [
+              ( "cache",
+                J.Obj
+                  [
+                    ("hits", J.Int c.hits);
+                    ("misses", J.Int c.misses);
+                    ("evictions", J.Int c.evictions);
+                    ("capacity", J.Int c.capacity);
+                  ] );
+            ]
+    in
+    let counterexample =
+      match report.shrunk with
+      | None -> []
+      | Some (sched, vs) ->
+          [
+            text
+              [
+                line "counterexample"
+                  (Printf.sprintf "%d-step schedule %s" (List.length sched) (pids sched));
+              ];
+            violation_lines vs;
+          ]
+    in
+    print ~json
+      ([
+         row "instance"
+           (Printf.sprintf "KK n=%d m=%d beta=%d" n m beta)
+           [ ("n", J.Int n); ("m", J.Int m); ("beta", J.Int beta) ];
+         row "domains"
+           (Printf.sprintf "%d (%d work items, %d steals)" domains stats.work_items
+              stats.steals)
+           [ ("domains", J.Int domains); ("fingerprint", J.Bool fingerprint) ];
+         row "executions"
+           (Printf.sprintf "%d%s" stats.executions
+              (if stats.fully_exhaustive then " (complete)" else " (budget-truncated)"))
+           [
+             ("executions", J.Int stats.executions);
+             ("fully_exhaustive", J.Bool stats.fully_exhaustive);
+             ("work_items", J.Int stats.work_items);
+             ("steals", J.Int stats.steals);
+           ];
+         cache_row;
+         fields [ ("violations", J.Int report.violating) ];
+         {
+           lines =
+             (match diff_ok with
+             | Some true -> [ line "differential" "OK (canonical sets identical)" ]
+             | Some false -> [ line "differential" "MISMATCH" ]
+             | None -> []);
+           fields =
+             [ ("differential_ok", match diff_ok with Some b -> J.Bool b | None -> J.Null) ];
+         };
+         text [ line "oracles" (verdict report.violating) ];
+         row "wall clock" (Printf.sprintf "%.2fs" elapsed) [ ("seconds", J.Float elapsed) ];
+       ]
+      @ counterexample);
     if diff_ok = Some false then exit 4;
-    if report.Analysis.Explore.violating > 0 then exit 1
-  in
-  let explore_jobs =
-    let doc = "Number of jobs n." in
-    Arg.(value & opt int 3 & info [ "jobs"; "n" ] ~docv:"N" ~doc)
-  in
-  let explore_procs =
-    let doc = "Number of processes m." in
-    Arg.(value & opt int 2 & info [ "procs"; "m" ] ~docv:"M" ~doc)
+    if report.violating > 0 then exit 1
   in
   let branch_depth_arg =
     let doc =
@@ -149,18 +142,6 @@ let explore_cmd =
     let doc =
       "Explorer domains (OCaml 5 parallelism), an integer >= 1; 1 = \
        sequential."
-    in
-    let at_least_one =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some d when d >= 1 -> Ok d
-            | _ ->
-                Error
-                  (`Msg
-                     (Printf.sprintf "invalid value '%s', expected an integer >= 1"
-                        s))),
-          Format.pp_print_int )
     in
     Arg.(value & opt at_least_one 1 & info [ "domains" ] ~docv:"D" ~doc)
   in
@@ -185,28 +166,63 @@ let explore_cmd =
      every interleaving (up to commutation) is enumerated and judged \
      against the at-most-once, effectiveness and quiescence oracles."
   in
-  Cmd.v (Cmd.info "explore" ~doc)
+  cmd "explore" ~doc
     Term.(
-      const run $ explore_jobs $ explore_procs $ beta $ branch_depth_arg
+      const run $ jobs_with 3 $ procs_with 2 $ beta $ branch_depth_arg
       $ max_steps_arg $ domains_arg $ fingerprint_flag $ differential_flag
-      $ log_level $ json_flag)
+      $ json_flag)
 
-(* Render one dashboard frame from the soak's aggregated telemetry. *)
-let chaos_dashboard_frame ~n ~m ~beta ~count ~runs_done ~dos_total ~steps_total
-    ~crashes_total ~restarts_total ~failures ~aborted ~fates ~steps_sketch
-    ~elapsed =
+(* ---- chaos ---- *)
+
+(* A soak's running telemetry, fed one finished plan at a time. *)
+type tally = {
+  mutable runs_done : int;
+  mutable dos_total : int;
+  mutable steps_total : int;
+  mutable crashes_total : int;
+  mutable restarts_total : int;
+  mutable failures : int;
+  fates : int array;  (** cumulative counts, in [fate_labels] order *)
+  steps_sketch : Obs.Sketch.t;
+}
+
+(* Job fates (Obs.Ledger semantics): dashboard label, Prometheus label *)
+let fate_labels =
+  [
+    ("performed", "performed");
+    ("forfeited", "forfeited");
+    ("lost to crash", "lost_crash");
+    ("recovered", "recovered");
+    ("doubly performed", "doubly_performed");
+  ]
+
+let doubly_performed t = t.fates.(4)
+
+let tally_run t (r : Fault.Chaos.run_result) =
+  t.runs_done <- t.runs_done + 1;
+  t.dos_total <- t.dos_total + r.do_count;
+  t.steps_total <- t.steps_total + r.steps;
+  t.crashes_total <- t.crashes_total + List.length r.crashes;
+  t.restarts_total <- t.restarts_total + List.length r.restarts;
+  if r.violations <> [] then t.failures <- t.failures + 1;
+  Obs.Sketch.add t.steps_sketch r.steps;
+  let c = Obs.Ledger.counts (Obs.Ledger.of_trace ~n:r.plan.n ~m:r.plan.m r.trace) in
+  List.iteri
+    (fun i v -> t.fates.(i) <- t.fates.(i) + v)
+    [ c.performed; c.forfeited; c.lost; c.recovered; c.violations ]
+
+(* One dashboard frame of the soak. *)
+let chaos_frame ~n ~m ~beta ~count t ~aborted elapsed =
   let open Obs.Dashboard in
-  let throughput =
-    if elapsed > 0. then float_of_int dos_total /. elapsed else 0.
-  in
+  let throughput = per_second t.dos_total elapsed in
   let fate_row label v =
     kvf label "%d (%.1f%%)" v
-      (if runs_done = 0 then 0.
-       else 100. *. float_of_int v /. float_of_int (runs_done * n))
+      (if t.runs_done = 0 then 0.
+       else 100. *. float_of_int v /. float_of_int (t.runs_done * n))
   in
   let status =
     if aborted then "ABORTED (fail-fast: at-most-once tripped)"
-    else if failures > 0 then Printf.sprintf "%d FAILURES" failures
+    else if t.failures > 0 then Printf.sprintf "%d FAILURES" t.failures
     else "OK"
   in
   render
@@ -216,378 +232,247 @@ let chaos_dashboard_frame ~n ~m ~beta ~count ~runs_done ~dos_total ~steps_total
       section ~title:"progress"
         [
           gauge ~label:"plans"
-            ~frac:(float_of_int runs_done /. float_of_int (max 1 count))
-            (Printf.sprintf "%d / %d" runs_done count);
-          kvf "throughput" "%.0f jobs/s (%d jobs, %.1fs)" throughput dos_total
-            elapsed;
-          kvf "steps" "%d total" steps_total;
+            ~frac:(float_of_int t.runs_done /. float_of_int (max 1 count))
+            (Printf.sprintf "%d / %d" t.runs_done count);
+          kvf "throughput" "%.0f jobs/s (%d jobs, %.1fs)" throughput t.dos_total elapsed;
+          kvf "steps" "%d total" t.steps_total;
         ];
       section ~title:"job fates (cumulative)"
-        [
-          fate_row "performed" fates.Obs.Ledger.performed;
-          fate_row "forfeited" fates.Obs.Ledger.forfeited;
-          fate_row "lost to crash" fates.Obs.Ledger.lost;
-          fate_row "recovered" fates.Obs.Ledger.recovered;
-          fate_row "doubly performed" fates.Obs.Ledger.violations;
-        ];
+        (List.mapi (fun i (label, _) -> fate_row label t.fates.(i)) fate_labels);
       section ~title:"injected faults"
-        [ kvf "crashes" "%d" crashes_total; kvf "restarts" "%d" restarts_total ];
+        [ kvf "crashes" "%d" t.crashes_total; kvf "restarts" "%d" t.restarts_total ];
       section ~title:"latency (steps per plan)"
-        [ percentiles ~label:"sketch" steps_sketch ];
+        [ percentiles ~label:"sketch" t.steps_sketch ];
       section ~title:"monitor"
         [
-          kv "at-most-once"
-            (if fates.Obs.Ledger.violations > 0 then "VIOLATED" else "OK");
-          kvf "oracle failures" "%d" failures;
+          kv "at-most-once" (if doubly_performed t > 0 then "VIOLATED" else "OK");
+          kvf "oracle failures" "%d" t.failures;
         ];
     ]
 
-(* Write the soak's current telemetry as a Prometheus text-exposition
-   snapshot: <dir>/amo_chaos.prom, atomically replaced on each flush. *)
-let chaos_prom_flush ~dir ~n ~m ~beta ~seed ~runs_done ~dos_total ~steps_total
-    ~crashes_total ~restarts_total ~failures ~aborted ~fates ~steps_sketch () =
-  let reg = Obs.Prom.create () in
-  let labels = [ ("n", string_of_int n); ("m", string_of_int m);
-                 ("beta", string_of_int beta); ("seed", string_of_int seed) ] in
-  let c name help v =
-    Obs.Prom.counter reg ~name ~help ~labels (float_of_int v)
-  in
-  c "amo_soak_runs_total" "Chaos plans executed" runs_done;
-  c "amo_soak_jobs_performed_total" "Distinct jobs performed across plans"
-    dos_total;
-  c "amo_soak_steps_total" "Executor steps across plans" steps_total;
-  c "amo_soak_crashes_total" "Injected crashes observed" crashes_total;
-  c "amo_soak_restarts_total" "Injected restarts observed" restarts_total;
-  c "amo_soak_oracle_failures_total" "Plans with at least one oracle violation"
-    failures;
+(* The soak's Prometheus snapshot, <dir>/amo_chaos.prom. *)
+let chaos_metrics ~n ~m ~beta ~seed t ~aborted reg =
+  let labels = int_params [ ("n", n); ("m", m); ("beta", beta); ("seed", seed) ] in
+  prom_counters reg ~labels
+    [
+      ("amo_soak_runs_total", "Chaos plans executed", t.runs_done);
+      ( "amo_soak_jobs_performed_total",
+        "Distinct jobs performed across plans",
+        t.dos_total );
+      ("amo_soak_steps_total", "Executor steps across plans", t.steps_total);
+      ("amo_soak_crashes_total", "Injected crashes observed", t.crashes_total);
+      ("amo_soak_restarts_total", "Injected restarts observed", t.restarts_total);
+      ( "amo_soak_oracle_failures_total",
+        "Plans with at least one oracle violation",
+        t.failures );
+    ];
   Obs.Prom.gauge reg ~name:"amo_soak_aborted" ~labels
     ~help:"1 if a fail-fast monitor aborted the soak"
     (if aborted then 1. else 0.);
-  List.iter
-    (fun (fate, v) ->
+  List.iteri
+    (fun i (_, fate) ->
       Obs.Prom.counter reg ~name:"amo_soak_job_fate_total"
         ~help:"Cumulative per-job fates (Obs.Ledger semantics)"
         ~labels:(labels @ [ ("fate", fate) ])
-        (float_of_int v))
-    [
-      ("performed", fates.Obs.Ledger.performed);
-      ("forfeited", fates.Obs.Ledger.forfeited);
-      ("lost_crash", fates.Obs.Ledger.lost);
-      ("recovered", fates.Obs.Ledger.recovered);
-      ("doubly_performed", fates.Obs.Ledger.violations);
-    ];
+        (float_of_int t.fates.(i)))
+    fate_labels;
   Obs.Prom.of_sketch reg ~name:"amo_soak_plan_steps" ~labels
-    ~help:"Executor steps per chaos plan (quantile sketch)" steps_sketch;
-  Obs.Prom.write_file reg (Filename.concat dir "amo_chaos.prom")
+    ~help:"Executor steps per chaos plan (quantile sketch)" t.steps_sketch
+
+let save_plan path (plan : Fault.Plan.t) =
+  write_file path (Fault.Plan.to_string plan ^ "\n")
+
+(* A replayed plan's result: the plan and platform, [middle], the
+   oracle verdict, [after] and one line per violation *)
+let replay_rows (plan : Fault.Plan.t) ~platform violations middle after =
+  [
+    row "plan" (Format.asprintf "%a" Fault.Plan.pp plan) [ ("plan", Fault.Plan.to_json plan) ];
+    text [ line "platform" platform ];
+  ]
+  @ middle
+  @ [ row "oracles" (verdict (List.length violations)) [ ("violations", violation_names violations) ] ]
+  @ after
+  @ [ violation_lines violations ]
+
+(* --plan FILE: replay one plan, exit 1 on a violation *)
+let chaos_replay ~json ~flight ~max_steps ~seed path =
+  let extra = [ ("cmd", J.String "chaos-replay"); ("seed", J.Int seed) ] in
+  match Fault.Plan.load path with
+  | Error e ->
+      Fmt.epr "amo_run: %s: %s@." path e;
+      exit 2
+  | Ok plan when plan.net <> [] ->
+      let r = Fault.Chaos.run_net_plan plan in
+      print ~json
+        (replay_rows plan ~platform:"message passing (ABD registers)" r.violations
+           [
+             int_row "jobs performed" "do_count" (List.length r.dos);
+             row "stuck clients" (pids r.stuck) [ ("stuck", ints r.stuck) ];
+             int_row "deliveries" "deliveries" r.deliveries;
+           ]
+           []);
+      if r.violations <> [] then exit 1
+  | Ok plan ->
+      let r =
+        (* budget exhaustion must not masquerade as a passing
+           replay: surface the wedged prefix and exit non-zero *)
+        try Fault.Chaos.replay_plan ?probe:(flight_probe flight) ?max_steps plan
+        with Analysis.Explore.Max_steps_exceeded { schedule; steps } ->
+          if json then
+            print ~json
+              [
+                fields
+                  [
+                    ("error", J.String "max-steps-exceeded");
+                    ("plan", Fault.Plan.to_json plan);
+                    ("steps", J.Int steps);
+                    ("schedule_prefix", ints schedule);
+                  ];
+              ]
+          else begin
+            Fmt.epr
+              "amo_run: %s: step budget exhausted after %d steps (schedule \
+               prefix of %d picks recorded)@."
+              path steps (List.length schedule);
+            Fmt.epr
+              "amo_run: the plan does not quiesce under this budget — a \
+               would-be wait-freedom counterexample@."
+          end;
+          (* the journal holds the wedged run's tail — keep it *)
+          flight_dump ~json ~trigger:"max-steps" ~extra flight;
+          exit 3
+      in
+      (* the ledger's one-line causal explanation of the violated
+         job — what the raw oracle verdict lacks *)
+      let explanation =
+        if r.violations = [] then None
+        else
+          Obs.Ledger.explain_violation
+            (Obs.Ledger.of_trace ~n:plan.n ~m:plan.m r.trace)
+      in
+      print ~json
+        (replay_rows plan ~platform:"shared memory" r.violations
+           [
+             row "jobs performed"
+               (Printf.sprintf "%d / %d" r.do_count plan.n)
+               [ ("do_count", J.Int r.do_count) ];
+             row "steps" (string_of_int r.steps)
+               [ ("steps", J.Int r.steps); ("wait_free", J.Bool r.wait_free) ];
+             row "crashed procs" (pids r.crashes) [ ("crashes", ints r.crashes) ];
+             row "restarted procs" (pids r.restarts) [ ("restarts", ints r.restarts) ];
+           ]
+           [
+             {
+               lines = Option.to_list (Option.map (line "explanation") explanation);
+               fields =
+                 [
+                   ( "explanation",
+                     match explanation with Some l -> J.String l | None -> J.Null );
+                 ];
+             };
+           ]);
+      flight_dump ~json
+        ~trigger:(if r.violations <> [] then "violation" else "on-demand")
+        ~extra flight;
+      if r.violations <> [] then exit 1
+
+(* no --plan: seeded random plans, the first failure shrunk and saved;
+   optional live dashboard and periodic Prometheus snapshots *)
+let chaos_soak ~json ~flight ~count ~n ~m ~beta ~seed ~out_dir ~live ~fail_fast =
+  let extra = [ ("cmd", J.String "chaos-soak"); ("seed", J.Int seed) ] in
+  let t =
+    {
+      runs_done = 0;
+      dos_total = 0;
+      steps_total = 0;
+      crashes_total = 0;
+      restarts_total = 0;
+      failures = 0;
+      fates = Array.make (List.length fate_labels) 0;
+      steps_sketch = Obs.Sketch.create ();
+    }
+  in
+  let telemetry =
+    live
+      ~frame:(fun aborted -> chaos_frame ~n ~m ~beta ~count t ~aborted)
+      ~metrics:(fun aborted -> chaos_metrics ~n ~m ~beta ~seed t ~aborted)
+  in
+  let s =
+    Fault.Chaos.soak ~fail_fast ?probe:(flight_probe flight)
+      ~on_failure:(fun _ -> flight_dump ~json ~trigger:"violation" ~extra flight)
+      ~on_run:(fun _ r ->
+        tally_run t r;
+        telemetry ~final:false false)
+      ~seed ~count ~n ~m ~beta ()
+  in
+  telemetry ~final:true s.aborted;
+  let saved =
+    Option.map
+      (fun ((mp : Fault.Plan.t), _) ->
+        let path = Filename.concat out_dir ("CHAOS_" ^ mp.name ^ ".json") in
+        save_plan path mp;
+        path)
+      s.first_failure
+  in
+  print ~json
+    [
+      row "chaos soak"
+        (Printf.sprintf "%d plans (n=%d m=%d beta=%d seed=%d)" s.runs n m beta seed)
+        [ ("plans", J.Int s.runs) ];
+      row "recovery plans"
+        (Printf.sprintf "%d (%d restarts)" s.recovery_runs s.total_restarts)
+        [ ("recovery_plans", J.Int s.recovery_runs) ];
+      row "oracle failures" (string_of_int s.failures)
+        [ ("failures", J.Int s.failures); ("restarts", J.Int s.total_restarts) ];
+      {
+        lines =
+          (if s.aborted then
+             [
+               line "fail-fast"
+                 "soak ABORTED mid-run by the streaming at-most-once monitor";
+             ]
+           else []);
+        fields = [ ("aborted", J.Bool s.aborted) ];
+      };
+      {
+        lines =
+          Option.to_list
+            (Option.map (fun p -> line "counterexample" (p ^ " (shrunk, replayable)")) saved);
+        fields =
+          [ ("counterexample", match saved with Some p -> J.String p | None -> J.Null) ];
+      };
+    ];
+  flight_dump ~json ~trigger:"on-demand" ~extra flight;
+  if s.failures > 0 then exit 1
 
 let chaos_cmd =
-  let run plan_file soak_count n m beta_opt seed out_dir max_steps dashboard
-      prom_out fail_fast flight_out log_level json =
-    apply_log_level log_level;
-    let flight = make_flight flight_out in
-    let flight_extra trigger_cmd =
-      [ ("cmd", J.String trigger_cmd); ("seed", J.Int seed) ]
-    in
-    let pr_violations vs =
-      List.iter
-        (fun v ->
-          if not json then
-            Fmt.pr "violation       : %s@."
-              (Format.asprintf "%a" Analysis.Oracle.pp_violation v))
-        vs
-    in
+  let run plan_file count n m beta_opt seed out_dir max_steps live fail_fast flight
+      json =
     match plan_file with
-    | Some path -> (
-        (* replay mode: execute one plan file, exit 1 on violation *)
-        match Fault.Plan.load path with
-        | Error e ->
-            Fmt.epr "amo_run: %s: %s@." path e;
-            exit 2
-        | Ok plan when plan.Fault.Plan.net <> [] ->
-            let r = Fault.Chaos.run_net_plan plan in
-            if json then
-              print_endline
-                (J.to_string ~minify:false
-                   (J.Obj
-                      [
-                        ("plan", Fault.Plan.to_json plan);
-                        ("do_count", J.Int (List.length r.dos));
-                        ( "stuck",
-                          J.List (List.map (fun p -> J.Int p) r.stuck) );
-                        ("deliveries", J.Int r.deliveries);
-                        ( "violations",
-                          J.List
-                            (List.map
-                               (fun v ->
-                                 J.String v.Analysis.Oracle.oracle)
-                               r.violations) );
-                      ]))
-            else begin
-              Fmt.pr "plan            : %a@." Fault.Plan.pp plan;
-              Fmt.pr "platform        : message passing (ABD registers)@.";
-              Fmt.pr "jobs performed  : %d@." (List.length r.dos);
-              Fmt.pr "stuck clients   : [%s]@."
-                (String.concat "; " (List.map string_of_int r.stuck));
-              Fmt.pr "deliveries      : %d@." r.deliveries;
-              Fmt.pr "oracles         : %s@."
-                (if r.violations = [] then "OK"
-                 else Printf.sprintf "%d VIOLATED" (List.length r.violations))
-            end;
-            pr_violations r.violations;
-            if r.violations <> [] then exit 1
-        | Ok plan ->
-            let r =
-              (* budget exhaustion must not masquerade as a passing
-                 replay: surface the wedged prefix and exit non-zero *)
-              try
-                Fault.Chaos.replay_plan
-                  ?probe:(flight_probe flight)
-                  ?max_steps plan
-              with Analysis.Explore.Max_steps_exceeded { schedule; steps } ->
-                if json then
-                  print_endline
-                    (J.to_string ~minify:false
-                       (J.Obj
-                          [
-                            ("error", J.String "max-steps-exceeded");
-                            ("plan", Fault.Plan.to_json plan);
-                            ("steps", J.Int steps);
-                            ( "schedule_prefix",
-                              J.List (List.map (fun p -> J.Int p) schedule) );
-                          ]))
-                else begin
-                  Fmt.epr
-                    "amo_run: %s: step budget exhausted after %d steps \
-                     (schedule prefix of %d picks recorded)@."
-                    path steps (List.length schedule);
-                  Fmt.epr
-                    "amo_run: the plan does not quiesce under this budget — \
-                     a would-be wait-freedom counterexample@."
-                end;
-                (* the journal holds the wedged run's tail — keep it *)
-                flight_dump ~json ~trigger:"max-steps"
-                  ~extra:(flight_extra "chaos-replay") flight;
-                exit 3
-            in
-            (* the ledger's one-line causal explanation of the violated
-               job — what the raw oracle verdict lacks *)
-            let explanation =
-              if r.violations = [] then None
-              else
-                Obs.Ledger.explain_violation
-                  (Obs.Ledger.of_trace ~n:plan.Fault.Plan.n
-                     ~m:plan.Fault.Plan.m r.trace)
-            in
-            if json then
-              print_endline
-                (J.to_string ~minify:false
-                   (J.Obj
-                      [
-                        ("plan", Fault.Plan.to_json plan);
-                        ("do_count", J.Int r.do_count);
-                        ("steps", J.Int r.steps);
-                        ("wait_free", J.Bool r.wait_free);
-                        ( "crashes",
-                          J.List (List.map (fun p -> J.Int p) r.crashes) );
-                        ( "restarts",
-                          J.List (List.map (fun p -> J.Int p) r.restarts) );
-                        ( "violations",
-                          J.List
-                            (List.map
-                               (fun v ->
-                                 J.String v.Analysis.Oracle.oracle)
-                               r.violations) );
-                        ( "explanation",
-                          match explanation with
-                          | Some line -> J.String line
-                          | None -> J.Null );
-                      ]))
-            else begin
-              Fmt.pr "plan            : %a@." Fault.Plan.pp plan;
-              Fmt.pr "platform        : shared memory@.";
-              Fmt.pr "jobs performed  : %d / %d@." r.do_count
-                plan.Fault.Plan.n;
-              Fmt.pr "steps           : %d@." r.steps;
-              Fmt.pr "crashed procs   : [%s]@."
-                (String.concat "; " (List.map string_of_int r.crashes));
-              Fmt.pr "restarted procs : [%s]@."
-                (String.concat "; " (List.map string_of_int r.restarts));
-              Fmt.pr "oracles         : %s@."
-                (if r.violations = [] then "OK"
-                 else Printf.sprintf "%d VIOLATED" (List.length r.violations))
-            end;
-            Option.iter
-              (fun line ->
-                if not json then Fmt.pr "explanation     : %s@." line)
-              explanation;
-            pr_violations r.violations;
-            flight_dump ~json
-              ~trigger:
-                (if r.violations <> [] then "violation" else "on-demand")
-              ~extra:(flight_extra "chaos-replay") flight;
-            if r.violations <> [] then exit 1)
+    | Some path -> chaos_replay ~json ~flight ~max_steps ~seed path
     | None ->
-        (* soak mode: seeded random plans, shrink + save any failure;
-           optional live dashboard and periodic Prometheus snapshots *)
         let beta = Option.value beta_opt ~default:m in
-        let t_start = Unix.gettimeofday () in
-        let runs_done = ref 0 in
-        let dos_total = ref 0 in
-        let steps_total = ref 0 in
-        let crashes_total = ref 0 in
-        let restarts_total = ref 0 in
-        let failures_seen = ref 0 in
-        let fates =
-          ref
-            {
-              Obs.Ledger.performed = 0;
-              forfeited = 0;
-              lost = 0;
-              recovered = 0;
-              violations = 0;
-            }
-        in
-        let steps_sketch = Obs.Sketch.create () in
-        let last_dash = ref neg_infinity in
-        let last_prom = ref neg_infinity in
-        let telemetry ~aborted ~final () =
-          let now = Unix.gettimeofday () in
-          (* fixed refresh rate: at most 10 frames/s, plus one final
-             frame; prometheus flushes at most once a second *)
-          if dashboard && (final || now -. !last_dash >= 0.1) then begin
-            last_dash := now;
-            print_string
-              (Obs.Dashboard.ansi_home
-              ^ chaos_dashboard_frame ~n ~m ~beta ~count:soak_count
-                  ~runs_done:!runs_done ~dos_total:!dos_total
-                  ~steps_total:!steps_total ~crashes_total:!crashes_total
-                  ~restarts_total:!restarts_total ~failures:!failures_seen
-                  ~aborted ~fates:!fates ~steps_sketch
-                  ~elapsed:(now -. t_start));
-            flush stdout
-          end;
-          match prom_out with
-          | Some dir when final || now -. !last_prom >= 1.0 ->
-              last_prom := now;
-              chaos_prom_flush ~dir ~n ~m ~beta ~seed ~runs_done:!runs_done
-                ~dos_total:!dos_total ~steps_total:!steps_total
-                ~crashes_total:!crashes_total ~restarts_total:!restarts_total
-                ~failures:!failures_seen ~aborted ~fates:!fates ~steps_sketch
-                ()
-          | _ -> ()
-        in
-        let on_run _i (r : Fault.Chaos.run_result) =
-          incr runs_done;
-          dos_total := !dos_total + r.Fault.Chaos.do_count;
-          steps_total := !steps_total + r.Fault.Chaos.steps;
-          crashes_total := !crashes_total + List.length r.Fault.Chaos.crashes;
-          restarts_total :=
-            !restarts_total + List.length r.Fault.Chaos.restarts;
-          if r.Fault.Chaos.violations <> [] then incr failures_seen;
-          Obs.Sketch.add steps_sketch r.Fault.Chaos.steps;
-          let c =
-            Obs.Ledger.counts
-              (Obs.Ledger.of_trace ~n:r.Fault.Chaos.plan.Fault.Plan.n
-                 ~m:r.Fault.Chaos.plan.Fault.Plan.m r.Fault.Chaos.trace)
-          in
-          (fates :=
-             {
-               Obs.Ledger.performed = !fates.Obs.Ledger.performed + c.Obs.Ledger.performed;
-               forfeited = !fates.Obs.Ledger.forfeited + c.Obs.Ledger.forfeited;
-               lost = !fates.Obs.Ledger.lost + c.Obs.Ledger.lost;
-               recovered = !fates.Obs.Ledger.recovered + c.Obs.Ledger.recovered;
-               violations =
-                 !fates.Obs.Ledger.violations + c.Obs.Ledger.violations;
-             });
-          telemetry ~aborted:false ~final:false ()
-        in
-        let s =
-          Fault.Chaos.soak ~fail_fast ?probe:(flight_probe flight)
-            ~on_failure:(fun _r ->
-              flight_dump ~json ~trigger:"violation"
-                ~extra:(flight_extra "chaos-soak") flight)
-            ~on_run ~seed ~count:soak_count ~n ~m ~beta ()
-        in
-        telemetry ~aborted:s.Fault.Chaos.aborted ~final:true ();
-        if dashboard then print_newline ();
-        let saved =
-          match s.first_failure with
-          | None -> None
-          | Some (mp, _) ->
-              let path =
-                Filename.concat out_dir ("CHAOS_" ^ mp.Fault.Plan.name ^ ".json")
-              in
-              Fault.Plan.save ~path mp;
-              Some path
-        in
-        if json then
-          print_endline
-            (J.to_string ~minify:false
-               (J.Obj
-                  [
-                    ("plans", J.Int s.runs);
-                    ("recovery_plans", J.Int s.recovery_runs);
-                    ("failures", J.Int s.failures);
-                    ("restarts", J.Int s.total_restarts);
-                    ("aborted", J.Bool s.aborted);
-                    ( "counterexample",
-                      match saved with Some p -> J.String p | None -> J.Null );
-                  ]))
-        else begin
-          Fmt.pr "chaos soak      : %d plans (n=%d m=%d beta=%d seed=%d)@."
-            s.runs n m beta seed;
-          Fmt.pr "recovery plans  : %d (%d restarts)@." s.recovery_runs
-            s.total_restarts;
-          Fmt.pr "oracle failures : %d@." s.failures;
-          if s.aborted then
-            Fmt.pr
-              "fail-fast       : soak ABORTED mid-run by the streaming \
-               at-most-once monitor@.";
-          match saved with
-          | Some p -> Fmt.pr "counterexample  : %s (shrunk, replayable)@." p
-          | None -> ()
-        end;
-        flight_dump ~json ~trigger:"on-demand"
-          ~extra:(flight_extra "chaos-soak") flight;
-        if s.failures > 0 then exit 1
+        chaos_soak ~json ~flight ~count ~n ~m ~beta ~seed ~out_dir ~live ~fail_fast
   in
   let plan_file =
-    let doc =
+    plan_file
       "Replay a fault plan from $(docv) (as produced by the chaos shrinker) \
        instead of soaking; exit 1 if any oracle fires."
-    in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
   in
   let soak_count =
     let doc = "Number of random plans to soak when no --plan is given." in
     Arg.(value & opt int 200 & info [ "soak" ] ~docv:"COUNT" ~doc)
   in
-  let out_dir =
-    let doc = "Directory for shrunk counterexample plans found while soaking." in
-    Arg.(value & opt string "." & info [ "out-dir" ] ~docv:"DIR" ~doc)
-  in
-  let max_steps_opt =
-    let doc =
-      "Step budget for a --plan replay (default 200000 + 1000*n*m); \
-       exhausting it exits 3 with the recorded schedule prefix."
-    in
-    Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"STEPS" ~doc)
-  in
-  let dashboard_flag =
-    let doc =
-      "Live TTY dashboard while soaking: throughput, cumulative job-fate \
-       ledger, injected-fault counts, steps-per-plan percentiles and monitor \
-       status, repainted at a fixed refresh rate."
-    in
-    Arg.(value & flag & info [ "dashboard" ] ~doc)
-  in
-  let prom_out =
-    let doc =
+  let live =
+    live_flags
+      ~dashboard_doc:
+        "Live TTY dashboard while soaking: throughput, cumulative job-fate \
+         ledger, injected-fault counts, steps-per-plan percentiles and \
+         monitor status, repainted at a fixed refresh rate."
+      ~prom_file:"amo_chaos.prom"
       "Flush Prometheus text-exposition snapshots of the soak's telemetry to \
        $(docv)/amo_chaos.prom periodically (atomic replace; textfile-collector \
        compatible)."
-    in
-    Arg.(value & opt (some string) None & info [ "prom-out" ] ~docv:"DIR" ~doc)
   in
   let fail_fast_flag =
     let doc =
@@ -601,25 +486,23 @@ let chaos_cmd =
     "Chaos-test KKbeta under composable fault plans (crashes, restarts, \
      stalls, partitions); replay or soak."
   in
-  Cmd.v (Cmd.info "chaos" ~doc)
+  cmd "chaos" ~doc
     Term.(
-      const run $ plan_file $ soak_count $ jobs $ procs $ beta $ seed $ out_dir
-      $ max_steps_opt $ dashboard_flag $ prom_out $ fail_fast_flag $ flight_out
-      $ log_level $ json_flag)
+      const run $ plan_file $ soak_count $ jobs $ procs $ beta $ seed
+      $ out_dir "Directory for shrunk counterexample plans found while soaking."
+      $ max_steps
+          "Step budget for a --plan replay (default 200000 + 1000*n*m); \
+           exhausting it exits 3 with the recorded schedule prefix."
+      $ live $ fail_fast_flag $ flight_out $ json_flag)
 
 (* ---- fuzz ---- *)
 
-(* Render one dashboard frame from the fuzzer's running stats. *)
-let fuzz_dashboard_frame ~n ~m ~beta ~budget ~blind ~elapsed
-    (st : Analysis.Fuzz.stats) =
+(* One dashboard frame of the fuzzer's running stats. *)
+let fuzz_frame ~n ~m ~beta ~budget ~blind (st : Analysis.Fuzz.stats) elapsed =
   let open Obs.Dashboard in
-  let execs_per_s =
-    if elapsed > 0. then float_of_int st.Analysis.Fuzz.execs /. elapsed else 0.
-  in
+  let execs_per_s = per_second st.execs elapsed in
   let status =
-    if st.Analysis.Fuzz.violations > 0 then
-      Printf.sprintf "%d VIOLATIONS" st.Analysis.Fuzz.violations
-    else "OK"
+    if st.violations > 0 then Printf.sprintf "%d VIOLATIONS" st.violations else "OK"
   in
   render
     ~title:
@@ -630,160 +513,101 @@ let fuzz_dashboard_frame ~n ~m ~beta ~budget ~blind ~elapsed
       section ~title:"progress"
         [
           gauge ~label:"budget"
-            ~frac:
-              (float_of_int st.Analysis.Fuzz.execs
-              /. float_of_int (max 1 budget))
-            (Printf.sprintf "%d / %d" st.Analysis.Fuzz.execs budget);
+            ~frac:(float_of_int st.execs /. float_of_int (max 1 budget))
+            (Printf.sprintf "%d / %d" st.execs budget);
           kvf "throughput" "%.0f execs/s (%.1fs)" execs_per_s elapsed;
         ];
       section ~title:"coverage"
         [
-          kvf "distinct states" "%d (%d lookups)"
-            st.Analysis.Fuzz.distinct_states st.Analysis.Fuzz.lookups;
+          kvf "distinct states" "%d (%d lookups)" st.distinct_states st.lookups;
           gauge ~label:"hit rate" ~frac:(Analysis.Fuzz.hit_rate st)
             (Printf.sprintf "%.1f%%" (100. *. Analysis.Fuzz.hit_rate st));
-          spark ~label:"novelty"
-            (downsample ~width:44
-               (List.map snd st.Analysis.Fuzz.novelty));
+          spark ~label:"novelty" (downsample ~width:44 (List.map snd st.novelty));
         ];
       section ~title:"corpus"
-        [
-          kvf "size" "%d (%d kept this run)" st.Analysis.Fuzz.corpus
-            st.Analysis.Fuzz.kept;
-        ];
+        [ kvf "size" "%d (%d kept this run)" st.corpus st.kept ];
       section ~title:"oracles"
         [
           kv "verdict"
-            (if st.Analysis.Fuzz.violations = 0 then "OK"
-             else Printf.sprintf "%d violations" st.Analysis.Fuzz.violations);
+            (if st.violations = 0 then "OK"
+             else Printf.sprintf "%d violations" st.violations);
           kv "first violation"
-            (match st.Analysis.Fuzz.first_violation_exec with
+            (match st.first_violation_exec with
             | Some e -> Printf.sprintf "exec %d" e
             | None -> "-");
         ];
     ]
 
-(* Prometheus snapshot of the fuzzer's running stats:
-   <dir>/amo_fuzz.prom, atomically replaced on each flush. *)
-let fuzz_prom_flush ~dir ~n ~m ~beta ~seed (st : Analysis.Fuzz.stats) =
-  let reg = Obs.Prom.create () in
-  let labels =
-    [ ("n", string_of_int n); ("m", string_of_int m);
-      ("beta", string_of_int beta); ("seed", string_of_int seed) ]
-  in
-  let c name help v =
-    Obs.Prom.counter reg ~name ~help ~labels (float_of_int v)
-  in
-  c "amo_fuzz_execs_total" "Plan executions performed" st.Analysis.Fuzz.execs;
-  c "amo_fuzz_kept_total" "Inputs kept for reaching a novel state"
-    st.Analysis.Fuzz.kept;
-  c "amo_fuzz_distinct_states_total" "Novel coverage fingerprints recorded"
-    st.Analysis.Fuzz.distinct_states;
-  c "amo_fuzz_state_lookups_total" "Coverage fingerprint observations"
-    st.Analysis.Fuzz.lookups;
-  c "amo_fuzz_violations_total" "Executions with an oracle violation"
-    st.Analysis.Fuzz.violations;
+(* The fuzzer's Prometheus snapshot, <dir>/amo_fuzz.prom. *)
+let fuzz_metrics ~n ~m ~beta ~seed (st : Analysis.Fuzz.stats) reg =
+  let labels = int_params [ ("n", n); ("m", m); ("beta", beta); ("seed", seed) ] in
+  prom_counters reg ~labels
+    [
+      ("amo_fuzz_execs_total", "Plan executions performed", st.execs);
+      ("amo_fuzz_kept_total", "Inputs kept for reaching a novel state", st.kept);
+      ( "amo_fuzz_distinct_states_total",
+        "Novel coverage fingerprints recorded",
+        st.distinct_states );
+      ("amo_fuzz_state_lookups_total", "Coverage fingerprint observations", st.lookups);
+      ("amo_fuzz_violations_total", "Executions with an oracle violation", st.violations);
+    ];
   Obs.Prom.gauge reg ~name:"amo_fuzz_corpus_size" ~labels
-    ~help:"Current corpus size (seeds + keepers)"
-    (float_of_int st.Analysis.Fuzz.corpus);
+    ~help:"Current corpus size (seeds + keepers)" (float_of_int st.corpus);
   Obs.Prom.gauge reg ~name:"amo_fuzz_coverage_hit_rate" ~labels
-    ~help:"Fraction of state observations already covered"
-    (Analysis.Fuzz.hit_rate st);
-  Obs.Prom.write_file reg (Filename.concat dir "amo_fuzz.prom")
+    ~help:"Fraction of state observations already covered" (Analysis.Fuzz.hit_rate st)
+
+(* corpus: every *.json plan in the dir seeds the run; a file that does
+   not parse or validate is a hard usage error (exit 2) — a corrupted
+   corpus must not silently shrink the seed set *)
+let load_corpus dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let path = Filename.concat dir f in
+         match Result.bind (Fault.Plan.load path) (fun plan ->
+                   Result.map (fun () -> plan) (Fault.Plan.validate plan))
+         with
+         | Ok plan -> plan
+         | Error e ->
+             Fmt.epr "amo_run: bad corpus entry %s: %s@." path e;
+             exit 2)
 
 let fuzz_cmd =
-  let run budget corpus_dir n m beta_opt seed algo_kind blind minimize out_dir
-      max_steps max_seconds table_bits stop_on_violation dashboard prom_out
-      flight_out log_level json =
-    apply_log_level log_level;
+  let run budget corpus_dir n m beta_opt seed algo blind minimize out_dir max_steps
+      max_seconds table_bits stop_on_violation live flight json =
     let beta = Option.value beta_opt ~default:m in
-    let flight = make_flight flight_out in
-    let flight_extra =
-      [ ("cmd", J.String "fuzz"); ("seed", J.Int seed) ]
-    in
-    let algo =
-      match algo_kind with
-      | `Kk -> Fault.Plan.Kk
-      | `Skip_check -> Fault.Plan.Kk_mutant_skip_check
-      | `Skip_recovery_mark -> Fault.Plan.Kk_mutant_skip_recovery_mark
-    in
-    (* corpus: load every *.json plan in the dir as a seed; a file that
-       does not parse or validate is a hard usage error (exit 2) — a
-       corrupted corpus must not silently shrink the seed set *)
-    let load_corpus dir =
-      let entries =
-        List.sort compare
-          (List.filter
-             (fun f -> Filename.check_suffix f ".json")
-             (Array.to_list (Sys.readdir dir)))
-      in
-      List.map
-        (fun f ->
-          let path = Filename.concat dir f in
-          match Fault.Plan.load path with
-          | Error e ->
-              Fmt.epr "amo_run: bad corpus entry %s: %s@." path e;
-              exit 2
-          | Ok plan -> (
-              match Fault.Plan.validate plan with
-              | Error e ->
-                  Fmt.epr "amo_run: bad corpus entry %s: %s@." path e;
-                  exit 2
-              | Ok () -> plan))
-        entries
-    in
+    let extra = [ ("cmd", J.String "fuzz"); ("seed", J.Int seed) ] in
+    let default_seeds () = Fault.Fuzz.default_seeds ~algo ~seed ~n ~m ~beta () in
     let seeds =
       match corpus_dir with
-      | Some dir when Sys.file_exists dir && Sys.is_directory dir -> (
-          match load_corpus dir with
-          | [] -> Fault.Fuzz.default_seeds ~algo ~seed ~n ~m ~beta ()
-          | plans -> plans)
-      | Some dir when Sys.file_exists dir ->
+      | Some dir when Sys.file_exists dir && not (Sys.is_directory dir) ->
           Fmt.epr "amo_run: --corpus %s is not a directory@." dir;
           exit 2
+      | Some dir when Sys.file_exists dir -> (
+          match load_corpus dir with [] -> default_seeds () | plans -> plans)
       | Some dir ->
-          Sys.mkdir dir 0o755;
-          Fault.Fuzz.default_seeds ~algo ~seed ~n ~m ~beta ()
-      | None -> Fault.Fuzz.default_seeds ~algo ~seed ~n ~m ~beta ()
+          ensure_dir dir;
+          default_seeds ()
+      | None -> default_seeds ()
     in
     (* persistence: every keeper is written back content-addressed, so
        reloading a corpus never duplicates entries *)
     let on_keep =
-      match corpus_dir with
-      | None -> None
-      | Some dir ->
-          Some
-            (fun (plan : Fault.Plan.t) ->
-              let body = Fault.Plan.to_string plan in
-              let path =
-                Filename.concat dir
-                  (Printf.sprintf "fuzz-%08x.json" (Hashtbl.hash body))
-              in
-              if not (Sys.file_exists path) then begin
-                let oc = open_out path in
-                output_string oc body;
-                output_char oc '\n';
-                close_out oc
-              end)
+      Option.map
+        (fun dir (plan : Fault.Plan.t) ->
+          let body = Fault.Plan.to_string plan in
+          let path =
+            Filename.concat dir (Printf.sprintf "fuzz-%08x.json" (Hashtbl.hash body))
+          in
+          if not (Sys.file_exists path) then write_file path (body ^ "\n"))
+        corpus_dir
     in
     let t_start = Unix.gettimeofday () in
-    let last_dash = ref neg_infinity in
-    let last_prom = ref neg_infinity in
-    let telemetry ~final (st : Analysis.Fuzz.stats) =
-      let now = Unix.gettimeofday () in
-      if dashboard && (final || now -. !last_dash >= 0.1) then begin
-        last_dash := now;
-        print_string
-          (Obs.Dashboard.ansi_home
-          ^ fuzz_dashboard_frame ~n ~m ~beta ~budget ~blind
-              ~elapsed:(now -. t_start) st);
-        flush stdout
-      end;
-      match prom_out with
-      | Some dir when final || now -. !last_prom >= 1.0 ->
-          last_prom := now;
-          fuzz_prom_flush ~dir ~n ~m ~beta ~seed st
-      | _ -> ()
+    let telemetry =
+      live
+        ~frame:(fuzz_frame ~n ~m ~beta ~budget ~blind)
+        ~metrics:(fuzz_metrics ~n ~m ~beta ~seed)
     in
     let harness =
       let probe = flight_probe flight in
@@ -793,105 +617,92 @@ let fuzz_cmd =
     (* retain the journal the moment the first violating execution is
        seen — the recorder still holds that execution's tail *)
     let on_exec (st : Analysis.Fuzz.stats) =
-      if st.Analysis.Fuzz.violations > 0 then
-        flight_dump ~json ~trigger:"violation" ~extra:flight_extra flight;
+      if st.violations > 0 then flight_dump ~json ~trigger:"violation" ~extra flight;
       telemetry ~final:false st
     in
     let outcome =
-      Analysis.Fuzz.run ?table_bits ~stop_on_violation ?max_seconds ?on_keep
-        ~on_exec ~seed ~budget ~harness ~seeds ()
+      Analysis.Fuzz.run ?table_bits ~stop_on_violation ?max_seconds ?on_keep ~on_exec
+        ~seed ~budget ~harness ~seeds ()
     in
-    let st = outcome.Analysis.Fuzz.stats in
+    let st = outcome.stats in
     telemetry ~final:true st;
-    if dashboard then print_newline ();
     let elapsed = Unix.gettimeofday () -. t_start in
+    let execs_per_sec = per_second st.execs elapsed in
     (* one replayable FUZZ_*.json per distinct failure; --minimize
        ddmin-shrinks each through the chaos shrinker first *)
-    let distinct_failures =
-      let tbl = Hashtbl.create 8 in
-      List.filter
-        (fun p ->
+    let rec distinct seen = function
+      | [] -> []
+      | p :: rest ->
           let key = Fault.Plan.to_string p in
-          if Hashtbl.mem tbl key then false
-          else begin
-            Hashtbl.add tbl key ();
-            true
-          end)
-        outcome.Analysis.Fuzz.failures
+          if List.mem key seen then distinct seen rest
+          else p :: distinct (key :: seen) rest
     in
     let saved =
-      List.mapi
-        (fun i (p : Fault.Plan.t) ->
-          let p =
-            if not minimize then p
-            else
-              match Fault.Fuzz.minimize p with
-              | Some (minimal, _) -> minimal
-              | None -> p
-          in
-          let path =
-            Filename.concat out_dir
-              (Printf.sprintf "FUZZ_%02d_%s.json" i p.Fault.Plan.name)
-          in
-          Fault.Plan.save ~path p;
-          path)
-        distinct_failures
+      distinct [] outcome.failures
+      |> List.mapi (fun i (p : Fault.Plan.t) ->
+             let p =
+               match if minimize then Fault.Fuzz.minimize p else None with
+               | Some (minimal, _) -> minimal
+               | None -> p
+             in
+             let path =
+               Filename.concat out_dir (Printf.sprintf "FUZZ_%02d_%s.json" i p.name)
+             in
+             save_plan path p;
+             path)
     in
-    if json then
-      print_endline
-        (J.to_string ~minify:false
-           (J.Obj
-              [
-                ("budget", J.Int budget);
-                ("execs", J.Int st.Analysis.Fuzz.execs);
-                ("execs_per_sec",
-                 J.Float
-                   (if elapsed > 0. then
-                      float_of_int st.Analysis.Fuzz.execs /. elapsed
-                    else 0.));
-                ("seeds", J.Int (List.length seeds));
-                ("kept", J.Int st.Analysis.Fuzz.kept);
-                ("corpus", J.Int st.Analysis.Fuzz.corpus);
-                ("distinct_states", J.Int st.Analysis.Fuzz.distinct_states);
-                ("lookups", J.Int st.Analysis.Fuzz.lookups);
-                ("hit_rate", J.Float (Analysis.Fuzz.hit_rate st));
-                ("violations", J.Int st.Analysis.Fuzz.violations);
-                ( "first_violation_exec",
-                  match st.Analysis.Fuzz.first_violation_exec with
-                  | Some e -> J.Int e
-                  | None -> J.Null );
-                ("blind", J.Bool blind);
-                ( "counterexamples",
-                  J.List (List.map (fun p -> J.String p) saved) );
-              ]))
-    else begin
-      Fmt.pr "fuzz            : %d execs in %.1fs (%.0f/s)%s@."
-        st.Analysis.Fuzz.execs elapsed
-        (if elapsed > 0. then float_of_int st.Analysis.Fuzz.execs /. elapsed
-         else 0.)
-        (if blind then "  [blind]" else "");
-      Fmt.pr "instance        : n=%d m=%d beta=%d algo=%s seed=%d@." n m beta
-        (Fault.Plan.algo_to_string algo)
-        seed;
-      Fmt.pr "corpus          : %d plans (%d seeds, %d kept)@."
-        st.Analysis.Fuzz.corpus (List.length seeds) st.Analysis.Fuzz.kept;
-      Fmt.pr "coverage        : %d distinct states, %d lookups (%.1f%% hit)@."
-        st.Analysis.Fuzz.distinct_states st.Analysis.Fuzz.lookups
-        (100. *. Analysis.Fuzz.hit_rate st);
-      (match st.Analysis.Fuzz.first_violation_exec with
-      | Some e ->
-          Fmt.pr "violations      : %d (first at exec %d)@."
-            st.Analysis.Fuzz.violations e
-      | None -> Fmt.pr "violations      : 0@.");
-      List.iter
-        (fun p -> Fmt.pr "counterexample  : %s (replay: amo_run chaos --plan)@." p)
-        saved
-    end;
+    print ~json
+      [
+        fields [ ("budget", J.Int budget) ];
+        row "fuzz"
+          (Printf.sprintf "%d execs in %.1fs (%.0f/s)%s" st.execs elapsed execs_per_sec
+             (if blind then "  [blind]" else ""))
+          [ ("execs", J.Int st.execs); ("execs_per_sec", J.Float execs_per_sec) ];
+        text
+          [
+            line "instance"
+              (Printf.sprintf "n=%d m=%d beta=%d algo=%s seed=%d" n m beta
+                 (Fault.Plan.algo_to_string algo) seed);
+          ];
+        row "corpus"
+          (Printf.sprintf "%d plans (%d seeds, %d kept)" st.corpus (List.length seeds)
+             st.kept)
+          [
+            ("seeds", J.Int (List.length seeds));
+            ("kept", J.Int st.kept);
+            ("corpus", J.Int st.corpus);
+          ];
+        row "coverage"
+          (Printf.sprintf "%d distinct states, %d lookups (%.1f%% hit)"
+             st.distinct_states st.lookups
+             (100. *. Analysis.Fuzz.hit_rate st))
+          [
+            ("distinct_states", J.Int st.distinct_states);
+            ("lookups", J.Int st.lookups);
+            ("hit_rate", J.Float (Analysis.Fuzz.hit_rate st));
+          ];
+        row "violations"
+          (match st.first_violation_exec with
+          | Some e -> Printf.sprintf "%d (first at exec %d)" st.violations e
+          | None -> "0")
+          [
+            ("violations", J.Int st.violations);
+            ( "first_violation_exec",
+              match st.first_violation_exec with Some e -> J.Int e | None -> J.Null );
+          ];
+        fields [ ("blind", J.Bool blind) ];
+        {
+          lines =
+            List.map
+              (fun p -> line "counterexample" (p ^ " (replay: amo_run chaos --plan)"))
+              saved;
+          fields = [ ("counterexamples", J.List (List.map (fun p -> J.String p) saved)) ];
+        };
+      ];
     flight_dump ~json
-      ~trigger:
-        (if st.Analysis.Fuzz.violations > 0 then "violation" else "on-demand")
-      ~extra:flight_extra flight;
-    if st.Analysis.Fuzz.violations > 0 then exit 1
+      ~trigger:(if st.violations > 0 then "violation" else "on-demand")
+      ~extra flight;
+    if st.violations > 0 then exit 1
   in
   let budget =
     let doc = "Total execution budget (seed runs included)." in
@@ -915,11 +726,11 @@ let fuzz_cmd =
       & opt
           (enum
              [
-               ("kk", `Kk);
-               ("skip-check", `Skip_check);
-               ("skip-recovery-mark", `Skip_recovery_mark);
+               ("kk", Fault.Plan.Kk);
+               ("skip-check", Fault.Plan.Kk_mutant_skip_check);
+               ("skip-recovery-mark", Fault.Plan.Kk_mutant_skip_recovery_mark);
              ])
-          `Kk
+          Fault.Plan.Kk
       & info [ "algo" ] ~docv:"ALGO" ~doc)
   in
   let blind_flag =
@@ -936,21 +747,12 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "minimize" ] ~doc)
   in
-  let out_dir =
-    let doc = "Directory for FUZZ_*.json counterexample plans." in
-    Arg.(value & opt string "." & info [ "out-dir" ] ~docv:"DIR" ~doc)
-  in
-  let max_steps_opt =
-    let doc = "Per-execution step budget (default 200000 + 1000*n*m)." in
-    Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"STEPS" ~doc)
-  in
   let max_seconds_opt =
     let doc =
       "Wall-clock time box: stop drawing new inputs after $(docv) seconds \
        (the nightly-CI knob; the budget still caps total work)."
     in
-    Arg.(
-      value & opt (some float) None & info [ "max-seconds" ] ~docv:"SECS" ~doc)
+    Arg.(value & opt (some float) None & info [ "max-seconds" ] ~docv:"SECS" ~doc)
   in
   let table_bits_opt =
     let doc =
@@ -964,19 +766,14 @@ let fuzz_cmd =
                whole budget." in
     Arg.(value & flag & info [ "stop-on-violation" ] ~doc)
   in
-  let dashboard_flag =
-    let doc =
-      "Live TTY dashboard: budget progress, execs/sec, coverage hit rate, \
-       the novelty curve as a sparkline, corpus size and oracle status."
-    in
-    Arg.(value & flag & info [ "dashboard" ] ~doc)
-  in
-  let prom_out =
-    let doc =
+  let live =
+    live_flags
+      ~dashboard_doc:
+        "Live TTY dashboard: budget progress, execs/sec, coverage hit rate, \
+         the novelty curve as a sparkline, corpus size and oracle status."
+      ~prom_file:"amo_fuzz.prom"
       "Flush Prometheus text-exposition snapshots of the fuzzing stats to \
        $(docv)/amo_fuzz.prom periodically (atomic replace)."
-    in
-    Arg.(value & opt (some string) None & info [ "prom-out" ] ~docv:"DIR" ~doc)
   in
   let doc =
     "Coverage-guided fuzzing over schedules and fault plans: mutate a \
@@ -984,9 +781,11 @@ let fuzz_cmd =
      (Mazurkiewicz-equivalent rediscoveries are discarded), ddmin-shrink \
      any oracle violation into a replayable FUZZ_*.json plan."
   in
-  Cmd.v (Cmd.info "fuzz" ~doc)
+  cmd "fuzz" ~doc
     Term.(
       const run $ budget $ corpus_dir $ jobs $ procs $ beta $ seed $ algo_arg
-      $ blind_flag $ minimize_flag $ out_dir $ max_steps_opt $ max_seconds_opt
-      $ table_bits_opt $ stop_on_violation_flag $ dashboard_flag $ prom_out
-      $ flight_out $ log_level $ json_flag)
+      $ blind_flag $ minimize_flag
+      $ out_dir "Directory for FUZZ_*.json counterexample plans."
+      $ max_steps "Per-execution step budget (default 200000 + 1000*n*m)."
+      $ max_seconds_opt $ table_bits_opt $ stop_on_violation_flag $ live
+      $ flight_out $ json_flag)

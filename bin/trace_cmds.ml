@@ -65,22 +65,17 @@ let trace_cmd =
     Arg.(required & opt (some string) None & info [ "in" ] ~docv:"PATH" ~doc)
   in
   let decode_cmd =
-    let run in_path jsonl_out chrome_out log_level =
-      apply_log_level log_level;
+    let run in_path jsonl_out chrome_out =
       let items, damaged = load in_path in
-      let emit_jsonl oc =
-        List.iter
-          (fun it ->
-            output_string oc (jsonl_of_record (Obs.Journal.record_of_item it));
-            output_char oc '\n')
-          items
+      let jsonl () =
+        String.concat ""
+          (List.map
+             (fun it -> jsonl_of_record (Obs.Journal.record_of_item it) ^ "\n")
+             items)
       in
       (match jsonl_out with
-      | Some path ->
-          let oc = open_out path in
-          emit_jsonl oc;
-          close_out oc
-      | None -> if chrome_out = None then emit_jsonl stdout);
+      | Some path -> write_file path (jsonl ())
+      | None -> if chrome_out = None then print_string (jsonl ()));
       (match chrome_out with
       | None -> ()
       | Some path ->
@@ -93,13 +88,9 @@ let trace_cmd =
                 | Obs.Journal.Event _ -> None)
               items
           in
-          let doc =
-            Obs.Chrome_trace.to_string ~run_name:(Filename.basename in_path)
-              ~extra ~m trace
-          in
-          let oc = open_out path in
-          output_string oc doc;
-          close_out oc);
+          write_file path
+            (Obs.Chrome_trace.to_string ~run_name:(Filename.basename in_path)
+               ~extra ~m trace));
       if damaged then exit 2
     in
     let jsonl_out =
@@ -120,13 +111,10 @@ let trace_cmd =
        trace; recovers every record before any damage and exits 2 if damage \
        was found."
     in
-    Cmd.v (Cmd.info "decode" ~doc)
-      Term.(const run $ in_arg $ jsonl_out $ chrome_out $ log_level)
+    cmd "decode" ~doc Term.(const run $ in_arg $ jsonl_out $ chrome_out)
   in
   let query_cmd =
-    let run in_path pid_f kind_f name_f from_f to_f why procs fail_empty
-        log_level =
-      apply_log_level log_level;
+    let run in_path pid_f kind_f name_f from_f to_f why procs fail_empty =
       let items, damaged = load in_path in
       if damaged then exit 2;
       match why with
@@ -137,23 +125,19 @@ let trace_cmd =
           List.iter (fun s -> print_endline (Obs.Span.render s)) chain;
           if chain = [] && fail_empty then exit 1
       | None ->
+          (* an absent filter keeps every record *)
+          let holds filter p = Option.fold ~none:true ~some:p filter in
+          let contains name sub =
+            let nl = String.length name and sl = String.length sub in
+            let rec at i = i + sl <= nl && (String.sub name i sl = sub || at (i + 1)) in
+            at 0
+          in
           let keep (r : Obs.Sink.record) =
-            (match pid_f with None -> true | Some p -> r.Obs.Sink.pid = p)
-            && (match kind_f with
-               | None -> true
-               | Some k -> r.Obs.Sink.kind = k)
-            && (match name_f with
-               | None -> true
-               | Some sub ->
-                   let name = r.Obs.Sink.name in
-                   let nl = String.length name and sl = String.length sub in
-                   let rec at i =
-                     i + sl <= nl
-                     && (String.sub name i sl = sub || at (i + 1))
-                   in
-                   at 0)
-            && (match from_f with None -> true | Some t -> r.Obs.Sink.ts >= t)
-            && match to_f with None -> true | Some t -> r.Obs.Sink.ts <= t
+            holds pid_f (( = ) r.pid)
+            && holds kind_f (( = ) r.kind)
+            && holds name_f (contains r.name)
+            && holds from_f (fun t -> r.ts >= t)
+            && holds to_f (fun t -> r.ts <= t)
           in
           let matched =
             List.filter keep (List.map Obs.Journal.record_of_item items)
@@ -217,28 +201,23 @@ let trace_cmd =
        explain one job's fate with --why; exits 1 with --fail-empty on no \
        match, 2 on a damaged journal."
     in
-    Cmd.v (Cmd.info "query" ~doc)
+    cmd "query" ~doc
       Term.(
         const run $ in_arg $ pid_f $ kind_f $ name_f $ from_f $ to_f $ why
-        $ procs_opt $ fail_empty $ log_level)
+        $ procs_opt $ fail_empty)
   in
   let merge_cmd =
-    let run in_paths out log_level =
-      apply_log_level log_level;
+    let run in_paths out =
       let loaded = List.map load in_paths in
       if List.exists snd loaded then exit 2;
       let merged = Obs.Journal.merge (Array.of_list (List.map fst loaded)) in
       match out with
       | Some path ->
           (* a merged stream is itself a valid journal segment *)
-          let tmp = path ^ ".tmp" in
-          let oc = open_out_bin tmp in
-          output_string oc Obs.Journal.header;
-          List.iter
-            (fun (_src, it) -> output_string oc (Obs.Journal.encode it))
-            merged;
-          close_out oc;
-          Sys.rename tmp path;
+          write_file path
+            (String.concat ""
+               (Obs.Journal.header
+               :: List.map (fun (_src, it) -> Obs.Journal.encode it) merged));
           Fmt.pr "merged          : %d records from %d journals -> %s@."
             (List.length merged) (List.length in_paths) path
       | None ->
@@ -268,7 +247,7 @@ let trace_cmd =
       "Merge k per-domain journals into one stream ordered by (ts, pid, \
        source) — repeated merges of the same journals are byte-identical."
     in
-    Cmd.v (Cmd.info "merge" ~doc) Term.(const run $ in_args $ out $ log_level)
+    cmd "merge" ~doc Term.(const run $ in_args $ out)
   in
   let doc =
     "Offline engine over binary flight journals: decode to JSONL/Chrome, \
