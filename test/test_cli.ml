@@ -157,8 +157,105 @@ let test_help_goldens () =
       check_golden (name ^ ".txt") (run (String.concat " " (cmd @ [ "--help" ]))))
     help_commands
 
+(* Run the commands [args] one after the other in a fresh directory,
+   stopping at the first failure: the last exit code, and whether each
+   of [files] (paths relative to that directory) exists afterwards. *)
+let run_leaving args files =
+  let dir = temp_dir "amo_cli" in
+  let exe = Filename.quote (amo_exe ()) in
+  let _, status =
+    Helpers.run_capture
+      (Printf.sprintf "cd %s && %s >/dev/null 2>&1" (Filename.quote dir)
+         (String.concat " && " (List.map (fun a -> exe ^ " " ^ a) args)))
+  in
+  let left = List.map (fun f -> Sys.file_exists (Filename.concat dir f)) files in
+  rm_rf dir;
+  (Helpers.exit_code status, left)
+
+let check_writes args files =
+  let code, left = run_leaving [ args ] files in
+  Alcotest.(check int) (args ^ " exits 0") 0 code;
+  List.iter2 (fun f ok -> Alcotest.(check bool) (args ^ " leaves " ^ f) true ok) files left
+
+let test_kk_prom_missing_dir () =
+  check_writes "kk --jobs 50 --procs 3 --prom-out a/b" [ "a/b/amo_kk.prom" ]
+
+let test_fuzz_prom_missing_dir () =
+  check_writes "fuzz --budget 5 --jobs 4 --procs 2 --prom-out a/b" [ "a/b/amo_fuzz.prom" ]
+
+(* every other file-writing flag, each into a directory that does not
+   exist yet *)
+let test_writers_missing_dir () =
+  check_writes
+    "kk --jobs 30 --procs 3 --csv-dos a/dos.csv --csv-timeline b/c/tl.csv \
+     --trace-out d/t.json --flight-out e/f"
+    [ "a/dos.csv"; "b/c/tl.csv"; "d/t.json"; "e/f/manifest.json" ];
+  check_writes "chaos --soak 10 --jobs 6 --procs 3 --prom-out a/b" [ "a/b/amo_chaos.prom" ];
+  check_writes "profile --jobs 30 --procs 3 --prom-out a/b --trace-out c/t.json \
+                --report-out d/r.html"
+    [ "a/b/amo_profile.prom"; "c/t.json"; "d/r.html" ];
+  check_writes "report --jobs 30 --procs 3 -o a/r.html --ledger-out b/l.json"
+    [ "a/r.html"; "b/l.json" ];
+  check_writes "fuzz --budget 5 --jobs 4 --procs 2 --corpus a/b/c" [ "a/b/c" ];
+  (* a violation: the counterexample plan lands in the missing --out-dir *)
+  let code, left =
+    run_leaving
+      [
+        "fuzz --budget 300 --jobs 4 --procs 2 --seed 1 --algo skip-check \
+         --stop-on-violation --out-dir a/b";
+      ]
+      [ "a/b/FUZZ_00_fuzz-seed-random.json" ]
+  in
+  Alcotest.(check int) "fuzz violation exits 1" 1 code;
+  Alcotest.(check (list bool)) "FUZZ plan in the missing --out-dir" [ true ] left;
+  (* the trace engine's outputs, from a fresh flight dump *)
+  let code, left =
+    run_leaving
+      [
+        "kk --jobs 20 --procs 2 --flight-out fl";
+        "trace decode --in fl --jsonl a/d.jsonl --chrome b/d.json";
+        "trace merge --in fl --in fl --out c/m.amoj";
+      ]
+      [ "a/d.jsonl"; "b/d.json"; "c/m.amoj" ]
+  in
+  Alcotest.(check int) "trace decode/merge exit 0" 0 code;
+  Alcotest.(check (list bool)) "trace outputs written" [ true; true; true ] left
+
+(* bad counts and crash budgets are usage errors (exit 124), caught
+   before any run *)
+let test_bad_parameters_exit_124 () =
+  List.iter
+    (fun args ->
+      let code, _ = run_leaving [ args ] [] in
+      Alcotest.(check int) (args ^ " exits 124") 124 code)
+    [
+      "kk --jobs 0";
+      "multicore --jobs 0";
+      "chaos --soak 5 --jobs 0";
+      "kk --procs 0";
+      "msg --procs 0";
+      "explore --procs 0";
+      "kk --procs 3 --crashes 3";
+      "kk --procs 3 --crashes=-1";
+      "claim --procs 2 --crashes 5";
+      "iterative --procs 4 --crashes 4";
+      "wa --procs 4 --crashes 4";
+      "trivial --procs 2 --crashes 2";
+      "pairing --procs 2 --crashes 2";
+      "report --procs 2 --crashes 2";
+      "profile --procs 2 --crashes 2";
+    ]
+
 let suite =
   [
     Alcotest.test_case "stdout and exit-code goldens" `Quick test_stdout_goldens;
     Alcotest.test_case "--help goldens" `Quick test_help_goldens;
+    Alcotest.test_case "kk --prom-out creates its directory" `Quick
+      test_kk_prom_missing_dir;
+    Alcotest.test_case "fuzz --prom-out creates its directory" `Quick
+      test_fuzz_prom_missing_dir;
+    Alcotest.test_case "every output flag creates its directory" `Quick
+      test_writers_missing_dir;
+    Alcotest.test_case "bad --jobs/--procs/--crashes exit 124" `Quick
+      test_bad_parameters_exit_124;
   ]
