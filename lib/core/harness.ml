@@ -9,7 +9,6 @@ type summary = {
   metrics : Metrics.t;
   collision : Collision.t;
   trace : Trace.t;
-  clocks : Util.Vclock.t array;
 }
 
 let summarize ~metrics ~collision (outcome : Executor.outcome) =
@@ -23,7 +22,6 @@ let summarize ~metrics ~collision (outcome : Executor.outcome) =
     metrics;
     collision;
     trace = outcome.trace;
-    clocks = outcome.clocks;
   }
 
 let kk_processes ~metrics ~collision ~policy ~verbose ~provenance ~n ~m ~beta =
@@ -37,8 +35,7 @@ let kk_processes ~metrics ~collision ~policy ~verbose ~provenance ~n ~m ~beta =
 
 let kk ?(policy = Policy.Rank_split) ?scheduler
     ?(adversary = Adversary.none) ?(trace_level = `Outcomes) ?max_steps
-    ?(verbose = false) ?(provenance = false) ?probe ?(vclocks = false) ~n ~m
-    ~beta () =
+    ?(verbose = false) ?(provenance = false) ?probe ~n ~m ~beta () =
   let scheduler =
     match scheduler with Some s -> s | None -> Schedule.round_robin ()
   in
@@ -48,17 +45,16 @@ let kk ?(policy = Policy.Rank_split) ?scheduler
     kk_processes ~metrics ~collision ~policy ~verbose ~provenance ~n ~m ~beta
   in
   let outcome =
-    Executor.run ?max_steps ~trace_level ?probe ~vclocks ~scheduler ~adversary
-      handles
+    Executor.run ?max_steps ~trace_level ?probe ~scheduler ~adversary handles
   in
   summarize ~metrics ~collision outcome
 
 let kk_worst_case ?(trace_level = `Outcomes) ?(provenance = false)
-    ?(verbose = false) ?(vclocks = false) ~n ~m ~beta () =
+    ?(verbose = false) ~n ~m ~beta () =
   let victims = List.init (m - 1) (fun i -> i + 1) in
   kk ~scheduler:(Schedule.round_robin ())
     ~adversary:(Adversary.after_announce ~victims ~announce_phase:"gather_try")
-    ~trace_level ~provenance ~verbose ~vclocks ~n ~m ~beta ()
+    ~trace_level ~provenance ~verbose ~n ~m ~beta ()
 
 let run_plan ?scheduler ?(adversary = Adversary.none)
     ?(trace_level = `Outcomes) ?max_steps ?(policy = Policy.Rank_split) ~n ~m

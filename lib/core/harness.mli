@@ -18,9 +18,6 @@ type summary = {
   metrics : Shm.Metrics.t;
   collision : Collision.t;
   trace : Shm.Trace.t;
-  clocks : Util.Vclock.t array;
-      (** per-process vector clocks at quiescence (empty unless the
-          run asked for [vclocks]); see {!Shm.Executor}. *)
 }
 
 val kk :
@@ -32,7 +29,6 @@ val kk :
   ?verbose:bool ->
   ?provenance:bool ->
   ?probe:Shm.Probe.t ->
-  ?vclocks:bool ->
   n:int ->
   m:int ->
   beta:int ->
@@ -41,14 +37,13 @@ val kk :
 (** Run standalone KKβ on [n] jobs and [m] processes.  Defaults:
     the paper's [Rank_split] policy, round-robin scheduler, no
     crashes, [`Outcomes] trace.  [provenance] turns on job-lifecycle
-    events (see {!Kk} and {!Obs.Ledger}); [vclocks] maintains
-    happens-before vector clocks; [probe] observes every event. *)
+    events (see {!Kk} and {!Obs.Ledger}); [probe] observes every
+    event. *)
 
 val kk_worst_case :
   ?trace_level:Shm.Trace.level ->
   ?provenance:bool ->
   ?verbose:bool ->
-  ?vclocks:bool ->
   n:int ->
   m:int ->
   beta:int ->

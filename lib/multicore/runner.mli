@@ -1,7 +1,7 @@
 (** KKβ on real parallel hardware.
 
     Runs the same algorithm as {!Core.Kk}, with the same {!Core.Policy}
-    candidate rule and the same {!Ostree} sets, but with each process
+    candidate rule and the same {!Core.Freeset} sets, but with each process
     on its own OCaml 5 domain and every shared cell an atomic register.
     The loop itself is {!Core.Kk_direct}, the one direct-style
     transcription of Fig. 2 (and Fig. 3) that [Msg.Kk_mp] also runs

@@ -7,11 +7,9 @@
     [`Full] trace of [~verbose:true] automata for cross-process edges
     (an [`Outcomes] trace still yields per-process order).
 
-    Clock component values here are {e recorded-action counts}, not
-    the executor's step indices — the executor ticks for unrecorded
-    actions too — but the happens-before relation over recorded
-    events is identical to the executor's (see {!Shm.Executor.run}'s
-    [vclocks]). *)
+    Clock component values are {e recorded-action counts}, not the
+    executor's step indices: an action the trace does not retain does
+    not tick its process's clock. *)
 
 type span = { step : int; event : Shm.Event.t; clock : Util.Vclock.t }
 

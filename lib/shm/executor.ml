@@ -4,7 +4,6 @@ type outcome = {
   steps : int;
   reason : stop_reason;
   trace : Trace.t;
-  clocks : Util.Vclock.t array;
 }
 
 let live_pids handles =
@@ -42,39 +41,14 @@ let validate handles =
         invalid_arg "Executor.run: handles.(i) must have pid i+1")
     handles
 
-let run ?max_steps ?(trace_level = `Outcomes) ?(probe = Probe.null)
-    ?(vclocks = false) ?restarter ~scheduler ~adversary handles =
+let run ?max_steps ?(trace_level = `Outcomes) ?(probe = Probe.null) ?restarter
+    ~scheduler ~adversary handles =
   validate handles;
   let observing = not (Probe.is_null probe) in
   (* A probe that ignores its phase argument (needs_phase = false)
      lets us skip the per-event phase () indirection too. *)
   let phased = observing && Probe.needs_phase probe in
   let nprocs = Array.length handles in
-  (* Happens-before tagging (DESIGN.md §8): each process carries a
-     vector clock, ticked once per action; a write snapshots the
-     writer's clock under its wid, and a read whose event carries that
-     wid joins the snapshot into the reader — the read-from edge. *)
-  let vcs =
-    if vclocks then Array.init (nprocs + 1) (fun _ -> Util.Vclock.create ~m:nprocs)
-    else [||]
-  in
-  let wid_clocks : (int, Util.Vclock.t) Hashtbl.t = Hashtbl.create 64 in
-  let advance_clock p events =
-    if vclocks then begin
-      Util.Vclock.tick vcs.(p) ~p;
-      List.iter
-        (fun (ev : Event.t) ->
-          match ev with
-          | Read { wid; _ } when wid > 0 -> (
-              match Hashtbl.find_opt wid_clocks wid with
-              | Some c -> Util.Vclock.join vcs.(p) c
-              | None -> ())
-          | Write { wid; _ } when wid > 0 ->
-              Hashtbl.replace wid_clocks wid (Util.Vclock.copy vcs.(p))
-          | _ -> ())
-        events
-    end
-  in
   let max_steps =
     match max_steps with
     | Some s -> s
@@ -158,9 +132,8 @@ let run ?max_steps ?(trace_level = `Outcomes) ?(probe = Probe.null)
          allocate. *)
       let phase = if phased then h.Automaton.phase () else "" in
       let events = h.Automaton.step () in
-      advance_clock p events;
       emit trace probe ~observing ~step:!step ~phase events;
       incr step
     end
   done;
-  { steps = !step; reason = !reason; trace; clocks = vcs }
+  { steps = !step; reason = !reason; trace }

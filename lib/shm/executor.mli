@@ -21,16 +21,12 @@ type outcome = {
   steps : int;  (** actions performed (crashes not counted) *)
   reason : stop_reason;
   trace : Trace.t;
-  clocks : Util.Vclock.t array;
-      (** final per-process vector clocks, index = pid (slot 0 unused)
-          — empty unless [run] was called with [~vclocks:true]. *)
 }
 
 val run :
   ?max_steps:int ->
   ?trace_level:Trace.level ->
   ?probe:Probe.t ->
-  ?vclocks:bool ->
   ?restarter:(step:int -> handles:Automaton.handle array -> int list) ->
   scheduler:Schedule.t ->
   adversary:Adversary.t ->
@@ -46,11 +42,9 @@ val run :
     probe no observation cost — not even the [phase ()] lookup — is
     paid.
 
-    [vclocks] (default [false]) maintains a vector clock per process:
-    ticked once per action, joined across read-from edges when the
-    automaton's events carry write-ids (DESIGN.md §8).  The final
-    clocks are returned in [outcome.clocks]; per-event clocks can be
-    recomputed from a [`Full] trace with [Obs.Span].
+    The happens-before order of a run is recovered afterwards from its
+    [`Full] trace by [Obs.Span] (DESIGN.md §8): every write carries a
+    write-id and every read the id of the write it returned.
 
     [restarter] (crash-recovery mode) is consulted once per engine
     iteration, after the adversary's crashes and before the liveness

@@ -361,8 +361,8 @@ let test_ledger_flags_mutant () =
 
 (* a deterministic provenance-rich run shared by the span/heatmap tests *)
 let full_run () =
-  Core.Harness.kk ~trace_level:`Full ~verbose:true ~provenance:true
-    ~vclocks:true ~n:12 ~m:3 ~beta:3 ()
+  Core.Harness.kk ~trace_level:`Full ~verbose:true ~provenance:true ~n:12 ~m:3
+    ~beta:3 ()
 
 let test_span_vector_clocks () =
   let s = full_run () in
