@@ -177,6 +177,14 @@ let prom_out ~file doc =
     const (Option.map (fun dir -> Filename.concat dir file))
     $ Arg.(value & opt (some string) None & info [ "prom-out" ] ~docv:"DIR" ~doc))
 
+(* Flags whose meaning differs by command only in their help text *)
+let max_steps doc =
+  Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"STEPS" ~doc)
+
+let out_dir doc = Arg.(value & opt string "." & info [ "out-dir" ] ~docv:"DIR" ~doc)
+
+let plan_file doc = Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
+
 (* ---- simulated runs ---- *)
 
 type sim = {
@@ -284,11 +292,3 @@ let live_flags ~dashboard_doc ~prom_file prom_doc =
     const (fun dashboard prom_out -> live ~dashboard ~prom_out)
     $ Arg.(value & flag & info [ "dashboard" ] ~doc:dashboard_doc)
     $ prom_out ~file:prom_file prom_doc)
-
-(* Flags whose meaning differs by command only in their help text *)
-let max_steps doc =
-  Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"STEPS" ~doc)
-
-let out_dir doc = Arg.(value & opt string "." & info [ "out-dir" ] ~docv:"DIR" ~doc)
-
-let plan_file doc = Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)

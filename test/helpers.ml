@@ -33,6 +33,23 @@ let schedulers_for seed =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* dune runs the suite from test/; a manual `dune exec` may not *)
+let golden name =
+  List.find Sys.file_exists
+    [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+
+let temp_dir prefix =
+  let path = Filename.temp_file prefix "" in
+  Sys.remove path;
+  Unix.mkdir path 0o755;
+  path
+
 (* Driving the amo_run binary: its path from the test's working
    directory, its stdout and its exit status. *)
 let amo_exe () =

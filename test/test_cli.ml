@@ -14,23 +14,13 @@ let amo_exe () =
   let exe = Helpers.amo_exe () in
   if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Helpers.read_file
+let temp_dir = Helpers.temp_dir
 
-let golden_dir () =
-  let dir =
-    List.find Sys.file_exists [ "golden"; "test/golden" ]
-  in
-  if Filename.is_relative dir then Filename.concat (Sys.getcwd ()) dir else dir
-
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  path
+(* absolute: the runs start in other directories *)
+let golden path =
+  let p = Helpers.golden path in
+  if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
 
 let rm_rf dir = ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
 
@@ -96,8 +86,7 @@ let check_golden name actual =
       output_string oc actual;
       close_out oc
   | None ->
-      let path = Filename.concat (Filename.concat (golden_dir ()) "cli") name in
-      Alcotest.(check string) name (read_file path) actual
+      Alcotest.(check string) name (read_file (golden ("cli/" ^ name))) actual
 
 (* (golden name, arguments); each name also runs with --json as
    <name>_json unless marked text-only *)
@@ -135,7 +124,7 @@ let runs ~plan =
   ]
 
 let test_stdout_goldens () =
-  let plan = Filename.concat (golden_dir ()) "chaos_skip_check.plan.json" in
+  let plan = golden "chaos_skip_check.plan.json" in
   List.iter
     (fun (name, args, with_json) ->
       check_golden (name ^ ".txt") (run args);

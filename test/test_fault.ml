@@ -9,16 +9,9 @@ module C = Fault.Chaos
 
 let qtest = Helpers.qtest
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Helpers.read_file
 
-(* dune runs the suite from test/; a manual `dune exec` may not *)
-let golden name =
-  List.find Sys.file_exists
-    [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+let golden = Helpers.golden
 
 let violation_names (vs : Analysis.Oracle.violation list) =
   List.sort_uniq compare (List.map (fun v -> v.Analysis.Oracle.oracle) vs)

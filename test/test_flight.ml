@@ -27,15 +27,9 @@ module Jn = Obs.Json
 
 let qtest = Helpers.qtest
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Helpers.read_file
 
-let golden name =
-  List.find Sys.file_exists
-    [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+let golden = Helpers.golden
 
 (* ---- deterministic item corpus (seeded, both payload shapes) ---- *)
 
@@ -329,11 +323,7 @@ let test_flight_retention_accounting () =
 
 (* ---- dump / load_dump ---- *)
 
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  path
+let temp_dir = Helpers.temp_dir
 
 let test_dump_roundtrip () =
   let fl = Fl.create ~segment_bytes:256 ~max_segments:4 () in

@@ -16,15 +16,9 @@ module P = Fault.Plan
 
 let qtest = Helpers.qtest
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Helpers.read_file
 
-let golden name =
-  List.find Sys.file_exists
-    [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+let golden = Helpers.golden
 
 (* ---- the generic engine on a toy harness ---- *)
 
@@ -248,11 +242,7 @@ let amo_exe = Helpers.amo_exe
 let run_capture = Helpers.run_capture
 let exit_code = Helpers.exit_code
 
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  path
+let temp_dir = Helpers.temp_dir
 
 let test_fuzz_help_golden () =
   let out, status =
