@@ -147,8 +147,9 @@ let test_help_goldens () =
     help_commands
 
 (* Run the commands [args] one after the other in a fresh directory,
-   stopping at the first failure: the last exit code, and whether each
-   of [files] (paths relative to that directory) exists afterwards. *)
+   stopping at the first failure: the last exit code, and the contents
+   of each of [files] (paths relative to that directory) afterwards:
+   [None] where it does not exist, [Some ""] for a directory. *)
 let run_leaving args files =
   let dir = temp_dir "amo_cli" in
   let exe = Filename.quote (amo_exe ()) in
@@ -157,14 +158,24 @@ let run_leaving args files =
       (Printf.sprintf "cd %s && %s >/dev/null 2>&1" (Filename.quote dir)
          (String.concat " && " (List.map (fun a -> exe ^ " " ^ a) args)))
   in
-  let left = List.map (fun f -> Sys.file_exists (Filename.concat dir f)) files in
+  let left =
+    List.map
+      (fun f ->
+        let path = Filename.concat dir f in
+        if not (Sys.file_exists path) then None
+        else if Sys.is_directory path then Some ""
+        else Some (read_file path))
+      files
+  in
   rm_rf dir;
   (Helpers.exit_code status, left)
 
 let check_writes args files =
   let code, left = run_leaving [ args ] files in
   Alcotest.(check int) (args ^ " exits 0") 0 code;
-  List.iter2 (fun f ok -> Alcotest.(check bool) (args ^ " leaves " ^ f) true ok) files left
+  List.iter2
+    (fun f ok -> Alcotest.(check bool) (args ^ " leaves " ^ f) true (ok <> None))
+    files left
 
 let test_kk_prom_missing_dir () =
   check_writes "kk --jobs 50 --procs 3 --prom-out a/b" [ "a/b/amo_kk.prom" ]
@@ -196,7 +207,8 @@ let test_writers_missing_dir () =
       [ "a/b/FUZZ_00_fuzz-seed-random.json" ]
   in
   Alcotest.(check int) "fuzz violation exits 1" 1 code;
-  Alcotest.(check (list bool)) "FUZZ plan in the missing --out-dir" [ true ] left;
+  Alcotest.(check (list bool))
+    "FUZZ plan in the missing --out-dir" [ true ] (List.map Option.is_some left);
   (* the trace engine's outputs, from a fresh flight dump *)
   let code, left =
     run_leaving
@@ -208,7 +220,22 @@ let test_writers_missing_dir () =
       [ "a/d.jsonl"; "b/d.json"; "c/m.amoj" ]
   in
   Alcotest.(check int) "trace decode/merge exit 0" 0 code;
-  Alcotest.(check (list bool)) "trace outputs written" [ true; true; true ] left
+  Alcotest.(check (list bool))
+    "trace outputs written" [ true; true; true ] (List.map Option.is_some left)
+
+(* the Chrome document `trace decode --chrome` renders from the flight
+   dump of a deterministic run with a crash *)
+let test_decode_chrome_golden () =
+  let code, left =
+    run_leaving
+      [
+        "kk --jobs 12 --procs 3 --sched random --crashes 1 --seed 4 --flight-out fl";
+        "trace decode --in fl --chrome d.json";
+      ]
+      [ "d.json" ]
+  in
+  Alcotest.(check int) "kk --flight-out, trace decode --chrome exit 0" 0 code;
+  check_golden "trace_decode_chrome.json" (Option.value ~default:"" (List.hd left))
 
 (* bad counts and crash budgets are usage errors (exit 124), caught
    before any run *)
@@ -245,6 +272,8 @@ let suite =
       test_fuzz_prom_missing_dir;
     Alcotest.test_case "every output flag creates its directory" `Quick
       test_writers_missing_dir;
+    Alcotest.test_case "trace decode --chrome golden" `Quick
+      test_decode_chrome_golden;
     Alcotest.test_case "bad --jobs/--procs/--crashes exit 124" `Quick
       test_bad_parameters_exit_124;
   ]
