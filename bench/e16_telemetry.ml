@@ -7,7 +7,8 @@
       percentile within its advertised (1 + 1/k) relative-error bound
       against exact sorted-order quantiles; merging per-shard sketches
       is exact (identical to sketching the union); and with k = 1 the
-      sketch degenerates to exactly [Obs.Histogram.percentile].
+      sketch is a log-bucketed histogram: each estimate is the exact
+      quantile's power-of-two band upper edge, capped at the max.
 
    2. Agreement: [Obs.Monitor] is the one implementation of the
       verdict predicates, and [Analysis.Oracle]'s checkers are folds
@@ -87,18 +88,24 @@ let check_sketch ~name samples =
   in
   (rows, !in_bound, !merge_ok, 100. *. !worst, 100. *. err, k)
 
-(* k = 1 must reproduce the histogram's factor-of-2 estimates bit for
-   bit: same buckets, same rank walk. *)
+(* The upper edge of the power-of-two band [2^(b-1), 2^b - 1] that
+   holds [v]; the top band ends at max_int. *)
+let band_edge v =
+  let rec go e = if e > v then e - 1 else go (2 * e) in
+  if v <= 0 then 0 else if v >= 1 lsl 61 then max_int else go 1
+
+(* k = 1 must reproduce a log-bucketed histogram's factor-of-2
+   estimates bit for bit, computed here from the sorted samples: the
+   exact quantile's band upper edge, capped at the max. *)
 let check_k1 samples =
   let sk = Obs.Sketch.create ~sub_buckets:1 () in
-  let h = Obs.Histogram.create () in
-  Array.iter
-    (fun v ->
-      Obs.Sketch.add sk v;
-      Obs.Histogram.add h v)
-    samples;
+  Array.iter (Obs.Sketch.add sk) samples;
+  let sorted = Array.copy samples in
+  Array.sort compare sorted;
+  let max_v = sorted.(Array.length sorted - 1) in
   List.for_all
-    (fun p -> Obs.Sketch.percentile sk p = Obs.Histogram.percentile h p)
+    (fun p ->
+      Obs.Sketch.percentile sk p = min (band_edge (exact_percentile sorted p)) max_v)
     [ 0.; 10.; 50.; 90.; 99.; 99.9; 100. ]
 
 (* ---- 2. monitor agreement ---- *)

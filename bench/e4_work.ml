@@ -8,9 +8,10 @@
    constant) — the shape, not the absolute value, is the claim.
 
    Beyond the totals, each row also shows the per-process work
-   distribution (p50/p99/max via Obs.Profile): the bound is on total
-   work, but the tail columns expose whether an adversarial schedule
-   starves or thrashes individual processes. *)
+   distribution (p50/p99/max of a k = 1 Obs.Sketch, one sample per
+   process): the bound is on total work, but the tail columns expose
+   whether an adversarial schedule starves or thrashes individual
+   processes. *)
 
 open Exp_common
 
@@ -26,9 +27,11 @@ let measure ~n ~m =
       ~scheduler:(Shm.Schedule.bursty (Util.Prng.of_int (n + m)) ~max_burst:256)
       ~n ~m ~beta ()
   in
-  let profile = Obs.Profile.of_metrics s.Core.Harness.metrics in
-  ( float_of_int (Shm.Metrics.total_work s.Core.Harness.metrics),
-    Obs.Profile.summary profile ~series:"work" )
+  let work = Obs.Sketch.create ~sub_buckets:1 () in
+  for p = 1 to m do
+    Obs.Sketch.add work (Shm.Metrics.work s.Core.Harness.metrics ~p)
+  done;
+  (float_of_int (Shm.Metrics.total_work s.Core.Harness.metrics), work)
 
 let run () =
   section ~id:"E4" ~title:"work complexity of KK(3m^2)"

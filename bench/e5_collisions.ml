@@ -7,8 +7,8 @@
    predicts it never reaches 1.
 
    Each row also reports the distribution of per-pair collision
-   counts (p50/p99/max over all ordered pairs and seeds, via
-   Obs.Profile's histograms): the lemma is per-pair, so the tail —
+   counts (p50/p99/max over all ordered pairs and seeds, via a k = 1
+   Obs.Sketch): the lemma is per-pair, so the tail —
    not the total — is where a violation would first show. *)
 
 open Exp_common
@@ -33,9 +33,9 @@ let run () =
           (fun (sched_name, make_sched) ->
             let worst = ref 0. and worst_pair = ref (0, 0) in
             let total = ref 0 in
-            (* per-pair counts pooled across seeds: one histogram
-               sample per ordered pair per run *)
-            let pair_hist = Obs.Histogram.create () in
+            (* per-pair counts pooled across seeds: one sample per
+               ordered pair per run *)
+            let pairs = Obs.Sketch.create ~sub_buckets:1 () in
             List.iter
               (fun seed ->
                 let s =
@@ -47,7 +47,7 @@ let run () =
                 for p = 1 to m do
                   for q = 1 to m do
                     if p <> q then
-                      Obs.Histogram.add pair_hist
+                      Obs.Sketch.add pairs
                         (Core.Collision.count s.Core.Harness.collision ~p ~q)
                   done
                 done;
@@ -65,7 +65,6 @@ let run () =
             worst_overall := Float.max !worst_overall !worst;
             total_overall := !total_overall + !total;
             let p, q = !worst_pair in
-            let dist = Obs.Profile.summarize pair_hist in
             Some
               ([
                  I n;
@@ -75,7 +74,7 @@ let run () =
                  S (Printf.sprintf "(%d,%d)" p q);
                  F !worst;
                ]
-              @ summary_cells dist))
+              @ summary_cells pairs))
           [
             ("random", fun rng -> Shm.Schedule.random rng);
             ("bursty", fun rng -> Shm.Schedule.bursty rng ~max_burst:512);

@@ -102,10 +102,10 @@ let verdict ok fmt =
       ok)
     fmt
 
-(* Render an Obs.Profile tail summary as table cells — E4/E5 report
+(* A distribution's p50/p99/max as table cells — E4/E5 report
    per-process distributions, not just totals. *)
-let summary_cells (s : Obs.Profile.summary) =
-  [ I s.Obs.Profile.p50; I s.Obs.Profile.p99; I s.Obs.Profile.max ]
+let summary_cells s =
+  [ I (Obs.Sketch.percentile s 50.); I (Obs.Sketch.percentile s 99.); I (Obs.Sketch.max_value s) ]
 
 (* Standard parameter grids, shared across experiments so tables are
    comparable. *)

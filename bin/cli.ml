@@ -55,23 +55,10 @@ let metrics_json metrics =
 
 (* ---- output files ---- *)
 
-let rec ensure_dir dir =
-  if not (Sys.file_exists dir) then begin
-    ensure_dir (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 (* The one writer of every file the CLI produces: the directory is
    created first, and the file is replaced atomically (tmp + rename),
    so a scraper never reads a half-written snapshot. *)
-let write_file path contents =
-  ensure_dir (Filename.dirname path);
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp path
+let write_file = Util.Files.write
 
 (* [write_file], then name the file on stdout unless the output is JSON *)
 let save ~json label path contents =

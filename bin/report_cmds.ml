@@ -158,13 +158,7 @@ let profile_mc ~json ~n ~m ~beta ~trace_out ~prom_out =
     ];
   (* runtime tracks only: there is no logical-step trace here *)
   write_profile ~json ~trace_out ~prom_out
-    (fun () ->
-      J.to_string ~minify:false
-        (J.Obj
-           [
-             ("traceEvents", J.List (Obs.Rtevents.trace_events summary));
-             ("displayTimeUnit", J.String "ms");
-           ]))
+    (fun () -> Obs.Chrome_trace.to_string (Obs.Rtevents.trace_events summary))
     (Obs.Rtevents.prom summary)
 
 (* simulator: a Gcstat probe rides the executor's event stream,
@@ -206,9 +200,9 @@ let profile_sim ~json ({ n; m; f; seed; _ } as sim) ~beta ~rtevents ~trace_out
   let heatmap = Obs.Heatmap.of_trace s.trace in
   write_profile ~json ~trace_out ~prom_out
     (fun () ->
-      Obs.Chrome_trace.to_string ~run_name ~heatmap
-        ~extra:(Option.fold ~none:[] ~some:Obs.Rtevents.trace_events rsummary)
-        ~m s.trace)
+      Obs.Chrome_trace.to_string
+        (Obs.Chrome_trace.events ~run_name ~heatmap ~m s.trace
+        @ Option.fold ~none:[] ~some:Obs.Rtevents.trace_events rsummary))
     (fun reg ->
       Obs.Gcstat.prom gc reg;
       Option.iter (fun summary -> Obs.Rtevents.prom summary reg) rsummary);

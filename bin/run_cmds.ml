@@ -15,8 +15,9 @@ let write_trace ~json ~label ~m trace_out (trace : Shm.Trace.t) =
   Option.iter
     (fun path ->
       save ~json "chrome trace" path
-        (Obs.Chrome_trace.to_string ~run_name:label
-           ~heatmap:(Obs.Heatmap.of_trace trace) ~m trace))
+        (Obs.Chrome_trace.to_string
+           (Obs.Chrome_trace.events ~run_name:label
+              ~heatmap:(Obs.Heatmap.of_trace trace) ~m trace)))
     trace_out
 
 (* The summary of a simulated run; the upper bound counts the crashes

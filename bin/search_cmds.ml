@@ -587,7 +587,7 @@ let fuzz_cmd =
       | Some dir when Sys.file_exists dir -> (
           match load_corpus dir with [] -> default_seeds () | plans -> plans)
       | Some dir ->
-          ensure_dir dir;
+          Util.Files.ensure_dir dir;
           default_seeds ()
       | None -> default_seeds ()
     in

@@ -34,29 +34,6 @@ let trace_cmd =
   let jsonl_of_record r =
     J.to_string ~minify:true (Obs.Sink.record_to_json r)
   in
-  (* generic records (e.g. multicore mc.do instants) are not executor
-     events: they ride into the Chrome document through the ?extra
-     seam *)
-  let chrome_of_record (r : Obs.Sink.record) =
-    let base =
-      [
-        ("name", J.String r.Obs.Sink.name);
-        ("pid", J.Int r.Obs.Sink.pid);
-        ("tid", J.Int r.Obs.Sink.pid);
-        ("ts", J.Int r.Obs.Sink.ts);
-      ]
-    in
-    let args =
-      match r.Obs.Sink.args with [] -> [] | a -> [ ("args", J.Obj a) ]
-    in
-    match r.Obs.Sink.kind with
-    | Obs.Sink.Span ->
-        J.Obj
-          (base @ [ ("ph", J.String "X"); ("dur", J.Int r.Obs.Sink.dur) ] @ args)
-    | Obs.Sink.Counter -> J.Obj (base @ [ ("ph", J.String "C") ] @ args)
-    | Obs.Sink.Instant | Obs.Sink.Log ->
-        J.Obj (base @ [ ("ph", J.String "i"); ("s", J.String "t") ] @ args)
-  in
   let in_arg =
     let doc =
       "Journal to read: a flight-dump directory (or its manifest.json), or a \
@@ -81,16 +58,19 @@ let trace_cmd =
       | Some path ->
           let trace = Obs.Journal.to_trace items in
           let m = infer_m items in
-          let extra =
+          (* generic records (e.g. multicore mc.do instants) are not
+             executor events: they follow the trace's events *)
+          let records =
             List.filter_map
               (function
-                | Obs.Journal.Record r -> Some (chrome_of_record r)
+                | Obs.Journal.Record r -> Some (Obs.Chrome_trace.of_record r)
                 | Obs.Journal.Event _ -> None)
               items
           in
           write_file path
-            (Obs.Chrome_trace.to_string ~run_name:(Filename.basename in_path)
-               ~extra ~m trace));
+            (Obs.Chrome_trace.to_string
+               (Obs.Chrome_trace.events ~run_name:(Filename.basename in_path) ~m trace
+               @ records)));
       if damaged then exit 2
     in
     let jsonl_out =

@@ -1,4 +1,5 @@
-(** Export {!Shm.Trace} executions as Chrome [trace_event] JSON.
+(** Chrome [trace_event] JSON: the one encoder of every trace the
+    program writes.
 
     The produced file loads in [chrome://tracing] and Perfetto.  Each
     simulated process is its own Chrome {e process} (pid = simulator
@@ -25,25 +26,31 @@
     traces of deterministic schedules are byte-stable — suitable as
     golden files. *)
 
+val of_record : ?cat:string -> Sink.record -> Json.t
+(** The [trace_event] object of one record: a {!Sink.Span} is a
+    complete event ([ph "X"], [dur]), an {!Sink.Instant} or
+    {!Sink.Log} a thread-scoped instant ([ph "i"]), a {!Sink.Counter}
+    a per-process counter sample ([ph "C"], no [tid]).  [tid] is the
+    record's [pid]; [args] appear only when non-empty. *)
+
+val process : ?thread:string -> pid:int -> string -> Json.t list
+(** The metadata ([ph "M"]) that names process [pid] and sorts it by
+    [pid]; with [thread], also names its one thread. *)
+
 val events :
   ?run_name:string -> ?heatmap:Heatmap.t -> m:int -> Shm.Trace.t -> Json.t list
 (** Metadata records (process/thread names for [m] processes) followed
-    by one record per trace entry in trace order, then one [ph "C"]
-    counter sample per occupied heatmap time-bucket per register (if
-    [heatmap] is given). *)
+    by one record per trace entry in trace order — executor events
+    rendered by [Bridge.record_of_event], except that a read or write
+    span is named by its bare cell — then one [ph "C"] counter sample
+    per occupied heatmap time-bucket per register (if [heatmap] is
+    given). *)
 
-val to_string :
-  ?run_name:string ->
-  ?heatmap:Heatmap.t ->
-  ?extra:Json.t list ->
-  m:int ->
-  Shm.Trace.t ->
-  string
-(** A complete [{"traceEvents": [...]}] document.  [extra] appends
-    pre-built records to the event list — the seam {!Rtevents} uses to
-    merge its runtime tracks into the same document (note those tracks
-    carry wall-clock µs, so a merged trace is no longer
-    byte-deterministic). *)
+val to_string : Json.t list -> string
+(** A complete [{"traceEvents": [...]}] document, one event per line.
+    Append other records (e.g. {!Rtevents.trace_events}, which carry
+    wall-clock µs) to {!events} to merge them into one document; the
+    result is then no longer byte-deterministic. *)
 
 val write_file :
   ?run_name:string ->
@@ -53,3 +60,5 @@ val write_file :
   path:string ->
   Shm.Trace.t ->
   unit
+(** [to_string (events ... @ extra)], written to [path] with
+    [Util.Files.write]. *)

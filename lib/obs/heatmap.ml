@@ -1,6 +1,6 @@
 (* Per-register access statistics.  One [stats] per named cell;
-   time-bucketed counts reuse the histogram's power-of-two bucket
-   math so long runs stay constant-space per cell. *)
+   time-bucketed counts use the sketch's power-of-two bands, keyed by
+   each band's first step, so long runs stay constant-space per cell. *)
 
 type stats = {
   mutable reads : int;
@@ -8,7 +8,7 @@ type stats = {
   mutable accessors : int list; (* distinct pids, unsorted, small *)
   mutable contention : int;
   mutable last_pid : int; (* 0 = never accessed *)
-  buckets : (int, int ref * int ref) Hashtbl.t; (* bucket -> (reads, writes) *)
+  buckets : (int, int ref * int ref) Hashtbl.t; (* first step -> (reads, writes) *)
 }
 
 type t = {
@@ -46,7 +46,7 @@ let stats_for t name =
       s
 
 let bucket_counts (s : stats) step =
-  let b = Histogram.bucket_of step in
+  let b = Sketch.band_start step in
   match Hashtbl.find_opt s.buckets b with
   | Some rw -> rw
   | None ->
@@ -88,9 +88,6 @@ let of_trace trace =
     (Shm.Trace.entries trace);
   t
 
-let probe t =
-  Shm.Probe.make (fun ~step ~phase:_ ev -> observe t ~step ev)
-
 let cells t =
   Hashtbl.fold
     (fun name (s : stats) acc ->
@@ -119,33 +116,3 @@ let hottest ?(limit = 10) t =
   |> List.sort (fun a b ->
          compare (b.reads + b.writes, b.name) (a.reads + a.writes, a.name))
   |> List.filteri (fun i _ -> i < limit)
-
-let cell_to_json (c : cell) =
-  Json.Obj
-    [
-      ("name", Json.String c.name);
-      ("reads", Json.Int c.reads);
-      ("writes", Json.Int c.writes);
-      ("accessors", Json.Int c.accessors);
-      ("contention", Json.Int c.contention);
-      ( "buckets",
-        Json.List
-          (List.map
-             (fun (b, r, w) ->
-               Json.Obj
-                 [
-                   ("bucket", Json.Int b);
-                   ("from_step", Json.Int (Histogram.bucket_lo b));
-                   ("reads", Json.Int r);
-                   ("writes", Json.Int w);
-                 ])
-             c.buckets) );
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("total_accesses", Json.Int t.total);
-      ("max_step", Json.Int t.max_step);
-      ("cells", Json.List (List.map cell_to_json (cells t)));
-    ]

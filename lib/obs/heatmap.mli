@@ -5,13 +5,13 @@
     {e contention} count — accesses that hit a register last touched
     by a {e different} process (ownership bounces, the shared-memory
     model's analogue of cache-line ping-pong).  Time series are kept
-    in the {!Histogram} power-of-two step buckets, so a cell's history
-    costs O(log steps) space regardless of run length.
+    in power-of-two step buckets ({!Sketch.band_start}), so a cell's
+    history costs O(log steps) space regardless of run length.
 
-    Feed it either post-hoc from a [`Full] trace ({!of_trace}) or
-    live through the probe seam ({!probe}).  The aggregate renders as
-    Chrome counter tracks (see {!Chrome_trace.events}) and as the
-    heatmap section of the HTML run report ({!Report}). *)
+    Feed it post-hoc from a [`Full] trace ({!of_trace}) or event by
+    event ({!observe}).  The aggregate renders as Chrome counter
+    tracks (see {!Chrome_trace.events}) and as the heatmap section of
+    the HTML run report ({!Report}). *)
 
 type t
 
@@ -22,8 +22,9 @@ type cell = {
   accessors : int;  (** distinct pids that touched this register *)
   contention : int;  (** accesses whose previous accessor differed *)
   buckets : (int * int * int) list;
-      (** [(bucket, reads, writes)], ascending; bucket bounds per
-          {!Histogram.bucket_lo}. *)
+      (** [(first_step, reads, writes)] per power-of-two step
+          bucket, ascending; [first_step] is the bucket's
+          {!Sketch.band_start}. *)
 }
 
 val create : unit -> t
@@ -35,10 +36,6 @@ val of_trace : Shm.Trace.t -> t
 (** Aggregate every retained read/write of a trace (i.e. record the
     run at [`Full] with [~verbose:true] automata). *)
 
-val probe : t -> Shm.Probe.t
-(** A live probe that feeds {!observe}; compose with other probes via
-    {!Shm.Probe.compose}. *)
-
 val cells : t -> cell list
 (** All registers, sorted by name (deterministic for goldens). *)
 
@@ -49,5 +46,3 @@ val hottest : ?limit:int -> t -> cell list
 val total_accesses : t -> int
 
 val max_step : t -> int
-
-val to_json : t -> Json.t

@@ -475,24 +475,9 @@ let probe fl =
 
 (* ---------- dumps ---------- *)
 
-let rec ensure_dir dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    ensure_dir (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc content);
-  Sys.rename tmp path
-
 let manifest_schema = "amo-flight-manifest"
 
 let dump ?(trigger = "on-demand") ?(extra = []) ~dir fl =
-  ensure_dir dir;
   let segs =
     List.filter (fun (s : Flight.segment) -> s.records > 0) (Flight.segments fl)
   in
@@ -500,7 +485,7 @@ let dump ?(trigger = "on-demand") ?(extra = []) ~dir fl =
     List.mapi
       (fun i (s : Flight.segment) ->
         let file = Printf.sprintf "segment-%03d.amoj" i in
-        write_atomic (Filename.concat dir file) (header ^ s.bytes);
+        Util.Files.write (Filename.concat dir file) (header ^ s.bytes);
         Json.Obj
           [
             ("file", Json.String file);
@@ -525,7 +510,7 @@ let dump ?(trigger = "on-demand") ?(extra = []) ~dir fl =
       @ if extra = [] then [] else [ ("extra", Json.Obj extra) ])
   in
   let path = Filename.concat dir "manifest.json" in
-  write_atomic path (Json.to_string ~minify:false manifest ^ "\n");
+  Util.Files.write path (Json.to_string ~minify:false manifest ^ "\n");
   path
 
 let load_dump path =

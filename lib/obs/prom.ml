@@ -142,11 +142,3 @@ let render t =
             count)
     (List.rev t.metrics);
   Buffer.contents b
-
-let write_file t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (render t));
-  Sys.rename tmp path

@@ -2,9 +2,9 @@
 
     A registry of counters, gauges and sketch-backed histograms,
     rendered deterministically (registration order) to the exposition
-    format and written with an atomic tmp+rename — the textfile-
-    collector pattern, so soaks are scrapable by standard tooling
-    without an HTTP endpoint in the binary. *)
+    format.  Written with [Util.Files.write] (atomic tmp+rename) it
+    follows the textfile-collector pattern, so soaks are scrapable by
+    standard tooling without an HTTP endpoint in the binary. *)
 
 type t
 
@@ -28,7 +28,3 @@ val render : t -> string
 (** The full exposition text: [# HELP]/[# TYPE] once per metric name,
     then one sample line per series.  Label values are escaped per the
     format (backslash, double-quote, newline). *)
-
-val write_file : t -> string -> unit
-(** [write_file t path] renders to [path ^ ".tmp"] then renames —
-    scrapers never observe a half-written snapshot. *)

@@ -4,7 +4,7 @@
    All iteration is over pre-sorted lists ({!Ledger.entries},
    {!Heatmap.cells}, trace order). *)
 
-let esc s =
+let html_escape s =
   let buf = Buffer.create (String.length s) in
   String.iter
     (fun c ->
@@ -33,7 +33,7 @@ pre{background:#f0f0f0;padding:.6em;overflow-x:auto;font-size:.8em}
 .legend span{margin-right:1.2em}|}
 
 let section buf title f =
-  Buffer.add_string buf (Printf.sprintf "<h2>%s</h2>\n" (esc title));
+  Buffer.add_string buf (Printf.sprintf "<h2>%s</h2>\n" (html_escape title));
   f buf
 
 (* Timeline: one SVG lane per process; Do/provenance/lifecycle marks
@@ -71,14 +71,14 @@ let timeline_svg buf ~m trace =
                (x step)
                (y - (h / 2))
                w h color step
-               (esc (Shm.Event.to_string event)))
+               (html_escape (Shm.Event.to_string event)))
         and circle color r =
           Buffer.add_string buf
             (Printf.sprintf
                "<circle cx=\"%d\" cy=\"%d\" r=\"%d\" fill=\"%s\"><title>step \
                 %d: %s</title></circle>\n"
                (x step) y r color step
-               (esc (Shm.Event.to_string event)))
+               (html_escape (Shm.Event.to_string event)))
         in
         match event with
         | Shm.Event.Do _ -> rect "#2a8f2a" 3 10
@@ -114,7 +114,7 @@ let ledger_section buf ledger =
   List.iter
     (fun (e : Ledger.entry) ->
       let fate = Ledger.fate_name e.fate in
-      let detail = esc (Ledger.explain ledger e.job) in
+      let detail = html_escape (Ledger.explain ledger e.job) in
       let hist =
         match e.history with
         | [] -> "<i>no recorded lifecycle events</i>"
@@ -123,7 +123,7 @@ let ledger_section buf ledger =
             ^ String.concat ""
                 (List.map
                    (fun (step, msg) ->
-                     Printf.sprintf "<li>step %d: %s</li>" step (esc msg))
+                     Printf.sprintf "<li>step %d: %s</li>" step (html_escape msg))
                    h)
             ^ "</ul>"
       in
@@ -153,7 +153,7 @@ let heatmap_section buf heatmap =
       Buffer.add_string buf
         (Printf.sprintf
            "<tr><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td><span class=\"%s\" style=\"width:%dpx\"></span></td></tr>\n"
-           (esc c.name) c.reads c.writes c.accessors c.contention cls (max w 1)))
+           (html_escape c.name) c.reads c.writes c.accessors c.contention cls (max w 1)))
     cells;
   Buffer.add_string buf "</table>\n"
 
@@ -167,7 +167,7 @@ let gcstat_section buf g =
         (Printf.sprintf
            "<tr><td>%s</td><td>%d</td><td>%.0f</td><td>%d</td><td>%d</td>\
             <td>%d</td><td>%d</td></tr>\n"
-           (esc r.phase) r.events r.words r.minors r.majors r.words_p50
+           (html_escape r.phase) r.events r.words r.minors r.majors r.words_p50
            r.words_p99))
     (Gcstat.by_phase g);
   let words, minors, majors = Gcstat.totals g in
@@ -183,15 +183,15 @@ let make ~run_name ~params ~ledger ?heatmap ?(verdicts = []) ?plan_json
   Buffer.add_string buf "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n";
   Buffer.add_string buf
     (Printf.sprintf "<title>%s</title>\n<style>%s</style></head>\n<body>\n"
-       (esc run_name) css);
-  Buffer.add_string buf (Printf.sprintf "<h1>%s</h1>\n" (esc run_name));
+       (html_escape run_name) css);
+  Buffer.add_string buf (Printf.sprintf "<h1>%s</h1>\n" (html_escape run_name));
   Buffer.add_string buf "<table><tr>";
   List.iter
-    (fun (k, _) -> Buffer.add_string buf (Printf.sprintf "<th>%s</th>" (esc k)))
+    (fun (k, _) -> Buffer.add_string buf (Printf.sprintf "<th>%s</th>" (html_escape k)))
     params;
   Buffer.add_string buf "</tr><tr>";
   List.iter
-    (fun (_, v) -> Buffer.add_string buf (Printf.sprintf "<td>%s</td>" (esc v)))
+    (fun (_, v) -> Buffer.add_string buf (Printf.sprintf "<td>%s</td>" (html_escape v)))
     params;
   Buffer.add_string buf "</tr></table>\n";
   if verdicts <> [] then
@@ -203,10 +203,10 @@ let make ~run_name ~params ~ledger ?heatmap ?(verdicts = []) ?plan_json
             Buffer.add_string buf
               (Printf.sprintf
                  "<tr><td>%s</td><td class=\"%s\">%s</td><td>%s</td></tr>\n"
-                 (esc name)
+                 (html_escape name)
                  (if pass then "ok" else "bad")
                  (if pass then "pass" else "FAIL")
-                 (esc detail)))
+                 (html_escape detail)))
           verdicts;
         Buffer.add_string buf "</table>\n");
   (match plan_json with
@@ -215,7 +215,7 @@ let make ~run_name ~params ~ledger ?heatmap ?(verdicts = []) ?plan_json
       section buf "Fault-plan overlay" (fun buf ->
           Buffer.add_string buf
             (Printf.sprintf "<pre>%s</pre>\n"
-               (esc (Json.to_string ~minify:false plan)))));
+               (html_escape (Json.to_string ~minify:false plan)))));
   section buf "Timeline" (fun buf -> timeline_svg buf ~m:(Ledger.m ledger) trace);
   section buf "Job ledger" (fun buf -> ledger_section buf ledger);
   (match heatmap with
@@ -230,13 +230,7 @@ let make ~run_name ~params ~ledger ?heatmap ?(verdicts = []) ?plan_json
           (fun (job, lines) ->
             Buffer.add_string buf
               (Printf.sprintf "<h3>job %d</h3><pre>%s</pre>\n" job
-                 (esc (String.concat "\n" lines))))
+                 (html_escape (String.concat "\n" lines))))
           why);
   Buffer.add_string buf "</body></html>\n";
   Buffer.contents buf
-
-let write_file ~path html =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc html)

@@ -29,4 +29,6 @@ val make :
     adds the per-phase GC-attribution table when the run carried a
     {!Gcstat} collector. *)
 
-val write_file : path:string -> string -> unit
+val html_escape : string -> string
+(** Escape ampersands, angle brackets and double quotes for HTML text
+    and attribute values. *)

@@ -244,77 +244,28 @@ let summary_json (s : summary) =
    but clearly separate from — the logical-step tracks.  Wall-clock µs
    rebased to 0; these tracks are NOT byte-deterministic (they are
    real time), so they never appear in golden traces. *)
-let default_base_pid = 1000
+let base_pid = 1000
 
-let trace_events ?(base_pid = default_base_pid) s =
-  let meta name pid args =
-    Json.Obj
-      [
-        ("name", Json.String name);
-        ("ph", Json.String "M");
-        ("pid", Json.Int pid);
-        ("tid", Json.Int pid);
-        ("ts", Json.Int 0);
-        ("args", Json.Obj args);
-      ]
+let trace_events s =
+  let record ring ?dur ?args ~ts ~kind name =
+    Chrome_trace.of_record ~cat:"runtime"
+      (Sink.record ?dur ?args ~pid:(base_pid + ring) ~ts ~kind name)
   in
-  let metadata =
-    List.concat_map
-      (fun r ->
-        let pid = base_pid + r in
-        [
-          meta "process_name" pid
-            [ ("name", Json.String (Printf.sprintf "runtime/ring%d" r)) ];
-          meta "process_sort_index" pid [ ("sort_index", Json.Int pid) ];
-          meta "thread_name" pid [ ("name", Json.String "runtime events") ];
-        ])
-      (rings s)
-  in
-  let span_events =
-    List.map
+  List.concat_map
+    (fun r ->
+      Chrome_trace.process ~thread:"runtime events" ~pid:(base_pid + r)
+        (Printf.sprintf "runtime/ring%d" r))
+    (rings s)
+  @ List.map
       (fun (sp : span) ->
-        Json.Obj
-          [
-            ("name", Json.String sp.name);
-            ("cat", Json.String "runtime");
-            ("ph", Json.String "X");
-            ("pid", Json.Int (base_pid + sp.ring));
-            ("tid", Json.Int (base_pid + sp.ring));
-            ("ts", Json.Int sp.start_us);
-            ("dur", Json.Int (max 1 sp.dur_us));
-          ])
+        record sp.ring ~dur:(max 1 sp.dur_us) ~ts:sp.start_us ~kind:Sink.Span sp.name)
       s.spans
-  in
-  let mark_events =
-    List.map
-      (fun (m : mark) ->
-        Json.Obj
-          [
-            ("name", Json.String m.name);
-            ("cat", Json.String "runtime");
-            ("ph", Json.String "i");
-            ("s", Json.String "p");
-            ("pid", Json.Int (base_pid + m.ring));
-            ("tid", Json.Int (base_pid + m.ring));
-            ("ts", Json.Int m.ts_us);
-          ])
-      s.marks
-  in
-  let counter_events =
-    List.map
+  @ List.map (fun (m : mark) -> record m.ring ~ts:m.ts_us ~kind:Sink.Instant m.name) s.marks
+  @ List.map
       (fun (c : counter_sample) ->
-        Json.Obj
-          [
-            ("name", Json.String c.name);
-            ("cat", Json.String "runtime");
-            ("ph", Json.String "C");
-            ("pid", Json.Int (base_pid + c.ring));
-            ("ts", Json.Int c.ts_us);
-            ("args", Json.Obj [ ("value", Json.Int c.value) ]);
-          ])
+        record c.ring ~args:[ ("value", Json.Int c.value) ] ~ts:c.ts_us ~kind:Sink.Counter
+          c.name)
       s.counters
-  in
-  metadata @ span_events @ mark_events @ counter_events
 
 (* Counters into a Prometheus registry: headline totals plus the
    per-phase breakdown as labelled series and the pause distribution

@@ -101,14 +101,15 @@ val total_gc_us : summary -> int
 
 val summary_json : summary -> Json.t
 
-val default_base_pid : int
+val base_pid : int
 (** Synthetic pid offset for runtime tracks in Chrome traces: ring [r]
-    renders as process [default_base_pid + r], far from the
-    logical-step tracks. *)
+    renders as process [base_pid + r], far from the logical-step
+    tracks. *)
 
-val trace_events : ?base_pid:int -> summary -> Json.t list
-(** Chrome-trace records (metadata + [X] spans + [i] instants + [C]
-    counters) for the runtime tracks.  These carry wall-clock µs and
+val trace_events : summary -> Json.t list
+(** Chrome-trace records, each from {!Chrome_trace.of_record} or
+    {!Chrome_trace.process}: metadata, [X] spans, [i] instants and [C]
+    counters for the runtime tracks.  These carry wall-clock µs and
     are {e not} byte-deterministic — keep them out of golden traces. *)
 
 val prom : summary -> Prom.t -> unit

@@ -285,19 +285,6 @@ let trends_json ts = Json.List (List.map trend_json ts)
    environment, fixed float formatting — so the rendered page is
    golden-testable and identical across machines for the same store. *)
 
-let html_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string b "&amp;"
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e12 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.4g" v
@@ -396,7 +383,7 @@ svg.spark circle { fill: #175cd3; }
          %s]</td><td>%s</td><td>%s%%</td><td>%s</td><td \
          class=\"verdict\">%s</td><td>%s</td></tr>\n"
         (verdict_to_string t.verdict)
-        (html_escape t.exp) (html_escape t.metric)
+        (Report.html_escape t.exp) (Report.html_escape t.metric)
         (List.length t.points)
         (fmt_float t.baseline_median)
         (fmt_float t.ci_lo) (fmt_float t.ci_hi)

@@ -1,18 +1,47 @@
-(* Mergeable quantile sketch: Logbucket's power-of-two bands, each
-   subdivided into [k] equal-width linear sub-buckets (k a power of
-   two, default 32).
+(* Mergeable quantile sketch: power-of-two bands, each subdivided into
+   [k] equal-width linear sub-buckets (k a power of two, default 32).
+
+   Band 0 holds the value 0 (and clamped negatives); band b >= 1 holds
+   [2^(b-1), 2^b - 1]; with 63-bit ints the top band 62 is
+   [2^61, max_int].  The bands are flattened into [1 + 62k] slots:
+   slot 0 is the value 0, band b >= 1 occupies slots
+   [1 + (b-1)k .. bk].
 
    A quantile estimate is the upper edge of the covering sub-bucket,
    capped at the true max.  For a sample x in band b the sub-bucket is
    at most [width b / k] wide and x >= lo b = width b (for b >= 1), so
-   the estimate overshoots by at most a factor 1/k: bounded relative
-   error 1/k, against the histogram's factor-of-2 bands.  With k = 1
-   the sub-bucket IS the band and the sketch degenerates to exactly
-   Histogram.percentile — the reconciliation tests pin this.
+   the estimate overshoots by at most a factor 1/k.  With k = 1 the
+   sub-bucket IS the band: the estimate is the band's upper edge, a
+   log-bucketed histogram's percentile.
 
    Space is (1 + 62k) ints regardless of sample count; merge is a
    pointwise sum (exact), so per-domain sketches combine without
    re-bucketing error. *)
+
+let top_band = 62
+
+let band_of v =
+  let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
+  if v <= 0 then 0 else bits 0 v
+
+let band_lo b = if b <= 0 then 0 else 1 lsl (b - 1)
+let band_hi b = if b <= 0 then 0 else if b >= top_band then max_int else (1 lsl b) - 1
+let band_start v = band_lo (band_of v)
+
+(* at least 1: narrow low bands have fewer than [k] distinct values *)
+let sub_width k b = max 1 ((band_hi b - band_lo b + 1) / k)
+
+let slot_of k v =
+  let b = band_of v in
+  if b = 0 then 0 else 1 + ((b - 1) * k) + min ((v - band_lo b) / sub_width k b) (k - 1)
+
+let slot_hi k i =
+  if i = 0 then 0
+  else begin
+    let b = 1 + ((i - 1) / k) in
+    let s = (i - 1) mod k in
+    min (band_lo b + ((s + 1) * sub_width k b) - 1) (band_hi b)
+  end
 
 let default_sub_buckets = 32
 
@@ -32,7 +61,7 @@ let create ?(sub_buckets = default_sub_buckets) () =
     invalid_arg "Sketch.create: sub_buckets must be a positive power of two";
   {
     k = sub_buckets;
-    counts = Array.make (Logbucket.n_slots ~k:sub_buckets) 0;
+    counts = Array.make (1 + (top_band * sub_buckets)) 0;
     n = 0;
     sum = 0.;
     min_v = max_int;
@@ -41,13 +70,9 @@ let create ?(sub_buckets = default_sub_buckets) () =
 
 let sub_buckets t = t.k
 
-(* Slot boundaries live in Logbucket, shared with Histogram (its k = 1
-   degenerate case), so the two can never drift apart. *)
-let slot_hi k i = Logbucket.slot_hi ~k i
-
 let add t v =
   let v = max 0 v in
-  let i = Logbucket.slot_of ~k:t.k v in
+  let i = slot_of t.k v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum +. float_of_int v;
@@ -56,10 +81,8 @@ let add t v =
 
 let count t = t.n
 let total t = t.sum
-let sum = total
 let min_value t = if t.n = 0 then 0 else t.min_v
 let max_value t = if t.n = 0 then 0 else t.max_v
-let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
 
 let merge a b =
   if a.k <> b.k then
@@ -99,22 +122,18 @@ let percentile t p =
 
 let relative_error t = 1. /. float_of_int t.k
 
-let buckets t =
-  let acc = ref [] in
-  for i = Array.length t.counts - 1 downto 0 do
-    if t.counts.(i) > 0 then acc := (i, t.counts.(i)) :: !acc
-  done;
-  !acc
-
 (* Cumulative (upper_edge, count <= edge) pairs over non-empty slots —
    the shape Prometheus histogram exposition wants. *)
 let cumulative t =
-  let cum = ref 0 in
-  List.map
-    (fun (i, c) ->
-      cum := !cum + c;
-      (slot_hi t.k i, !cum))
-    (buckets t)
+  let acc = ref [] and cum = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if c > 0 then begin
+        cum := !cum + c;
+        acc := (slot_hi t.k i, !cum) :: !acc
+      end)
+    t.counts;
+  List.rev !acc
 
 let to_json t =
   Json.Obj
@@ -129,8 +148,3 @@ let to_json t =
       ("p99", Json.Int (percentile t 99.));
       ("p999", Json.Int (percentile t 99.9));
     ]
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d min=%d p50=%d p90=%d p99=%d p999=%d max=%d" t.n
-    (min_value t) (percentile t 50.) (percentile t 90.) (percentile t 99.)
-    (percentile t 99.9) (max_value t)

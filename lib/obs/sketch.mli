@@ -1,12 +1,13 @@
 (** Mergeable quantile sketches with bounded relative error.
 
-    Each {!Logbucket} power-of-two band is subdivided into [k] linear
-    sub-buckets (k a power of two, default 32), tightening the
-    histogram's factor-of-2 tail resolution to a [1/k] relative-error
-    bound while staying constant-space and O(1) per insert.  Merging
-    is a pointwise sum — exact — so per-domain sketches combine into a
-    run-wide one with no re-bucketing error.  With [k = 1] the sketch
-    degenerates to exactly {!Histogram.percentile} (pinned by test). *)
+    Samples fall into power-of-two bands (band [0] is the value [0],
+    band [b >= 1] is [[2^(b-1), 2^b - 1]], the top band ends at
+    [max_int]), each subdivided into [k] linear sub-buckets (k a power
+    of two, default 32): a [1/k] relative-error bound in constant
+    space and O(1) per insert.  Merging is a pointwise sum — exact —
+    so per-domain sketches combine into a run-wide one with no
+    re-bucketing error.  With [k = 1] a sketch is a log-bucketed
+    histogram: each estimate is its band's upper edge. *)
 
 type t
 
@@ -28,13 +29,8 @@ val count : t -> int
 val total : t -> float
 (** Sum of samples (float: sums of near-[max_int] samples overflow). *)
 
-val sum : t -> float
-(** Alias of {!total}: the [_sum] quantity Prometheus histograms
-    expose. *)
-
 val min_value : t -> int
 val max_value : t -> int
-val mean : t -> float
 
 val percentile : t -> float -> int
 (** Upper-edge estimate of the covering sub-bucket, capped at the true
@@ -48,12 +44,13 @@ val merge : t -> t -> t
 (** Pointwise sum; exact.  @raise Invalid_argument on differing
     [sub_buckets], naming both [k] values. *)
 
-val buckets : t -> (int * int) list
-(** Non-empty [(flat_slot, count)] pairs, ascending. *)
-
 val cumulative : t -> (int * int) list
 (** [(upper_edge, samples <= upper_edge)] over non-empty slots,
     ascending — the cumulative shape Prometheus histograms use. *)
 
 val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit
+
+val band_start : int -> int
+(** The first value of the power-of-two band that holds [v]: [0] for
+    [v <= 0], else the largest power of two [<= v].  {!Heatmap} keys
+    its step buckets by it. *)

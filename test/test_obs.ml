@@ -1,11 +1,12 @@
-(* Tests for the observability layer (lib/obs) and its seams:
+(* Tests for the observability layer (lib/obs): k = 1 sketches as
    log-bucketed histograms, the dependency-free JSON codec, versioned
-   bench snapshots with regression diffing, the executor probe →
-   sink/profile bridges, a golden byte-stable Chrome trace, and the
-   guarantee that library code is silent unless logging is enabled. *)
+   bench snapshots with regression diffing, the bounded record sink,
+   job-fate ledgers, causal spans, register heatmaps, a golden
+   byte-stable Chrome trace and HTML report, and the guarantee that
+   library code is silent unless logging is enabled. *)
 
 module J = Obs.Json
-module H = Obs.Histogram
+module Sk = Obs.Sketch
 
 let read_file path =
   let ic = open_in_bin path in
@@ -13,62 +14,74 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* ---- histogram ---- *)
+(* ---- k = 1 sketch: a log-bucketed histogram ---- *)
+
+let histogram () = Sk.create ~sub_buckets:1 ()
+
+(* The upper edge of [v]'s band, read back through a k = 1 sketch:
+   with [max_int] also present, p50 of the two samples is [v]'s band
+   edge. *)
+let band_hi v =
+  let h = histogram () in
+  Sk.add h v;
+  Sk.add h max_int;
+  Sk.percentile h 50.
 
 let test_histogram_edges () =
-  let h = H.create () in
-  H.add h 0;
-  H.add h 1;
-  H.add h max_int;
-  Alcotest.(check int) "count" 3 (H.count h);
-  Alcotest.(check int) "bucket of 0" 0 (H.bucket_of 0);
-  Alcotest.(check int) "bucket of 1" 1 (H.bucket_of 1);
-  Alcotest.(check int) "bucket of 2" 2 (H.bucket_of 2);
-  Alcotest.(check int) "bucket of 3" 2 (H.bucket_of 3);
-  Alcotest.(check int) "bucket of 4" 3 (H.bucket_of 4);
-  Alcotest.(check int) "bucket of max_int" 62 (H.bucket_of max_int);
-  Alcotest.(check int) "top bucket absorbs to max_int" max_int (H.bucket_hi 62);
-  Alcotest.(check int) "min" 0 (H.min_value h);
-  Alcotest.(check int) "max" max_int (H.max_value h);
-  Alcotest.(check int) "p100 is the exact max" max_int (H.percentile h 100.);
+  let h = histogram () in
+  Sk.add h 0;
+  Sk.add h 1;
+  Sk.add h max_int;
+  Alcotest.(check int) "count" 3 (Sk.count h);
+  Alcotest.(check int) "bucket of 0" 0 (Sk.band_start 0);
+  Alcotest.(check int) "bucket of 1" 1 (Sk.band_start 1);
+  Alcotest.(check int) "bucket of 2" 2 (Sk.band_start 2);
+  Alcotest.(check int) "bucket of 3" 2 (Sk.band_start 3);
+  Alcotest.(check int) "bucket of 4" 4 (Sk.band_start 4);
+  Alcotest.(check int) "bucket of max_int" (1 lsl 61) (Sk.band_start max_int);
+  Alcotest.(check int) "top bucket absorbs to max_int" max_int (band_hi (1 lsl 61));
+  Alcotest.(check int) "min" 0 (Sk.min_value h);
+  Alcotest.(check int) "max" max_int (Sk.max_value h);
+  Alcotest.(check int) "p100 is the exact max" max_int (Sk.percentile h 100.);
   (* negative samples clamp into bucket 0 *)
-  H.add h (-5);
-  Alcotest.(check int) "negative clamps to 0" 0 (H.percentile h 25.);
+  Sk.add h (-5);
+  Alcotest.(check int) "negative clamps to 0" 0 (Sk.percentile h 25.);
   Alcotest.check_raises "percentile range"
-    (Invalid_argument "Histogram.percentile: p in [0,100]") (fun () ->
-      ignore (H.percentile h 101.))
+    (Invalid_argument "Sketch.percentile: p in [0,100]") (fun () ->
+      ignore (Sk.percentile h 101.))
 
 let test_histogram_bucket_tiling () =
   (* consecutive buckets tile the non-negative ints without gaps *)
   for b = 1 to 62 do
+    let lo = 1 lsl (b - 1) in
     Alcotest.(check int)
       (Printf.sprintf "lo(%d) = hi(%d)+1" b (b - 1))
-      (H.bucket_hi (b - 1) + 1)
-      (H.bucket_lo b)
+      (band_hi (lo - 1) + 1)
+      (Sk.band_start lo)
   done;
   List.iter
     (fun v ->
-      let b = H.bucket_of v in
-      if v < H.bucket_lo b || v > H.bucket_hi b then
-        Alcotest.failf "%d outside its bucket %d" v b)
+      if v < Sk.band_start v || v > band_hi v then
+        Alcotest.failf "%d outside its bucket [%d, %d]" v (Sk.band_start v) (band_hi v))
     [ 0; 1; 2; 3; 4; 7; 8; 1023; 1024; 4097; max_int - 1; max_int ]
 
 let test_histogram_merge_and_percentile () =
-  let a = H.create () and b = H.create () in
+  let a = histogram () and b = histogram () in
   for i = 1 to 100 do
-    H.add a i
+    Sk.add a i
   done;
   for _ = 1 to 100 do
-    H.add b 1000
+    Sk.add b 1000
   done;
-  let m = H.merge a b in
-  Alcotest.(check int) "merged count" 200 (H.count m);
-  Alcotest.(check (float 1e-9)) "merged mean" 525.25 (H.mean m);
+  let m = Sk.merge a b in
+  Alcotest.(check int) "merged count" 200 (Sk.count m);
+  Alcotest.(check (float 1e-9)) "merged mean" 525.25
+    (Sk.total m /. float_of_int (Sk.count m));
   (* p99 lands in 1000's bucket; the estimate is capped at the true max *)
-  Alcotest.(check int) "p99 capped at max" 1000 (H.percentile m 99.);
-  Alcotest.(check int) "originals untouched" 100 (H.count a);
+  Alcotest.(check int) "p99 capped at max" 1000 (Sk.percentile m 99.);
+  Alcotest.(check int) "originals untouched" 100 (Sk.count a);
   (* to_json parses back and reports the same count *)
-  let j = H.to_json m in
+  let j = Sk.to_json m in
   match J.member "n" j with
   | Some (J.Int 200) -> ()
   | _ -> Alcotest.fail "histogram json count"
@@ -231,18 +244,6 @@ let test_sink_ring_buffer () =
     (List.map (fun r -> r.Obs.Sink.ts) kept);
   Alcotest.(check bool) "not null" false (Obs.Sink.is_null sink);
   Alcotest.(check bool) "null is null" true (Obs.Sink.is_null Obs.Sink.null)
-
-let test_profile_of_metrics () =
-  let m = 3 in
-  let s = Core.Harness.kk ~n:60 ~m ~beta:m () in
-  let p = Obs.Profile.of_metrics s.Core.Harness.metrics in
-  let sum = Obs.Profile.summary p ~series:"work" in
-  Alcotest.(check int) "one sample per process" m sum.Obs.Profile.count;
-  let merged = Obs.Profile.merged p ~series:"work" in
-  Alcotest.(check (float 1e-9))
-    "profile total = ledger total"
-    (float_of_int (Shm.Metrics.total_work s.Core.Harness.metrics))
-    (H.total merged)
 
 let test_metrics_merge_and_json () =
   let a = Shm.Metrics.create ~m:2 and b = Shm.Metrics.create ~m:2 in
@@ -665,9 +666,10 @@ let test_golden_chrome_trace () =
      the export must stay byte-stable *)
   let s = Core.Harness.kk ~trace_level:`Full ~verbose:true ~n:6 ~m:2 ~beta:2 () in
   let got =
-    Obs.Chrome_trace.to_string ~run_name:"KK(beta=2)"
-      ~heatmap:(Obs.Heatmap.of_trace s.Core.Harness.trace)
-      ~m:2 s.Core.Harness.trace
+    Obs.Chrome_trace.to_string
+      (Obs.Chrome_trace.events ~run_name:"KK(beta=2)"
+         ~heatmap:(Obs.Heatmap.of_trace s.Core.Harness.trace)
+         ~m:2 s.Core.Harness.trace)
   in
   let golden =
     (* cwd is test/ under `dune runtest`, the repo root under `dune exec` *)
@@ -750,7 +752,6 @@ let suite =
     Alcotest.test_case "snapshot diff detects 2x regression" `Quick
       test_snapshot_diff_detects_regression;
     Alcotest.test_case "sink ring buffer" `Quick test_sink_ring_buffer;
-    Alcotest.test_case "profile of metrics" `Quick test_profile_of_metrics;
     Alcotest.test_case "metrics merge + json" `Quick
       test_metrics_merge_and_json;
     Alcotest.test_case "golden chrome trace" `Quick test_golden_chrome_trace;

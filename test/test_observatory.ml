@@ -301,7 +301,7 @@ let test_rtevents_trace_events_and_prom () =
           match List.assoc_opt "pid" fields with
           | Some (Obs.Json.Int pid) ->
               Alcotest.(check bool) "runtime pid" true
-                (pid >= Obs.Rtevents.default_base_pid)
+                (pid >= Obs.Rtevents.base_pid)
           | _ -> Alcotest.fail "event without pid")
       | _ -> Alcotest.fail "event not an object")
     evs;
