@@ -182,19 +182,25 @@ type sim = {
   sched : [ `Rr | `Random | `Bursty ];
 }
 
-(* --jobs --procs --crashes --seed --sched of a run under a random
-   crash adversary, which needs a survivor: F outside 0..M-1 is a
-   usage error (exit 124). *)
-let sim =
-  let make n m f seed sched =
+(* --procs and --crashes of a run that needs a survivor: F outside
+   0..M-1 is a usage error (exit 124). *)
+let procs_crashes =
+  let check m f =
     if f < 0 || f >= m then
       `Error
         ( true,
           Printf.sprintf "option '--crashes': invalid value '%d', expected 0 <= F < M = %d"
             f m )
-    else `Ok { n; m; f; seed; sched }
+    else `Ok (m, f)
   in
-  Term.(ret (const make $ jobs $ procs $ crashes $ seed $ sched))
+  Term.(ret (const check $ procs $ crashes))
+
+(* --jobs --procs --crashes --seed --sched of a run under a random
+   crash adversary *)
+let sim =
+  Term.(
+    const (fun n (m, f) seed sched -> { n; m; f; seed; sched })
+    $ jobs $ procs_crashes $ seed $ sched)
 
 let sched_name kind = fst (List.find (fun (_, k) -> k = kind) sched_kinds)
 

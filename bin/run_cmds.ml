@@ -291,11 +291,9 @@ let pairing_cmd =
     Term.(const run $ sim $ json_flag $ trace_out)
 
 let msg_cmd =
-  let run n m servers seed f json =
+  let run n (m, f) servers seed json =
     let rng = Util.Prng.of_int seed in
-    let crash_plan =
-      List.init (min f (m - 1)) (fun i -> ((i + 1) * 50 * n / m, `Client (i + 1)))
-    in
+    let crash_plan = List.init f (fun i -> ((i + 1) * 50 * n / m, `Client (i + 1))) in
     let o = Msg.Kk_mp.run_kk ~crash_plan ~servers ~n ~m ~beta:m ~rng () in
     let do_count = Core.Spec.do_count o.dos in
     let guarantee = n - (m + m - 2) in
@@ -320,10 +318,10 @@ let msg_cmd =
   in
   let servers =
     let doc = "Number of ABD replica servers." in
-    Arg.(value & opt int 3 & info [ "servers" ] ~docv:"S" ~doc)
+    Arg.(value & opt at_least_one 3 & info [ "servers" ] ~docv:"S" ~doc)
   in
   cmd "msg" ~doc:"Run KKbeta over message passing (ABD-emulated atomic registers)."
-    Term.(const run $ jobs $ procs $ servers $ seed $ crashes $ json_flag)
+    Term.(const run $ jobs $ procs_crashes $ servers $ seed $ json_flag)
 
 let multicore_cmd =
   let run n m beta_opt json =

@@ -250,6 +250,9 @@ let test_bad_parameters_exit_124 () =
       "chaos --soak 5 --jobs 0";
       "kk --procs 0";
       "msg --procs 0";
+      "msg --jobs 30 --procs 3 --crashes 9";
+      "msg --procs 3 --crashes=-1";
+      "msg --servers 0";
       "explore --procs 0";
       "kk --procs 3 --crashes 3";
       "kk --procs 3 --crashes=-1";
