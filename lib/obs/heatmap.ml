@@ -46,12 +46,12 @@ let stats_for t name =
       s
 
 let bucket_counts (s : stats) step =
-  let b = Sketch.band_start step in
-  match Hashtbl.find_opt s.buckets b with
+  let first = Sketch.band_start step in
+  match Hashtbl.find_opt s.buckets first with
   | Some rw -> rw
   | None ->
       let rw = (ref 0, ref 0) in
-      Hashtbl.add s.buckets b rw;
+      Hashtbl.add s.buckets first rw;
       rw
 
 let touch t (s : stats) ~step ~p ~is_write =

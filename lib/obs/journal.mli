@@ -80,7 +80,7 @@ val dump :
     bytes), then [manifest.json] lists the segment files with their
     record counts alongside the flight's drop counters, the [trigger]
     (e.g. ["violation"], ["on-demand"]) and any [extra] metadata.
-    Every file is written atomically (tmp+rename, {!Prom} style) with
+    Every file is written atomically ([Util.Files.write]) with
     the manifest last, so a manifest's presence implies a complete
     dump.  Returns the manifest path. *)
 
