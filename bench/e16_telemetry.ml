@@ -135,13 +135,19 @@ let monitor_row ~label ~n ~m ~beta trace =
   in
   (ok, [ S label; I n; I m; I beta; I (Obs.Monitor.distinct mon); S verdict_cell ])
 
+(* [test/golden/name] under the current directory or the nearest of
+   its parents that has it, so the experiment finds the plans from
+   anywhere inside the source tree or the build directory. *)
 let golden_plan name =
-  List.find_opt Sys.file_exists
-    [
-      Filename.concat "test/golden" name;
-      Filename.concat "golden" name;
-      Filename.concat "../test/golden" name;
-    ]
+  let rel = Filename.concat (Filename.concat "test" "golden") name in
+  let rec up dir =
+    let path = Filename.concat dir rel in
+    if Sys.file_exists path then Some path
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then None else up parent
+  in
+  up (Sys.getcwd ())
 
 (* ---- 3. probe overhead ---- *)
 
@@ -253,18 +259,23 @@ let run () =
       (List.init (if_smoke 4 12) Fun.id)
   in
   (* -- 2c. the committed golden counterexample plans -- *)
+  let unusable_plans = ref [] in
   let golden_rows =
     List.filter_map
       (fun file ->
         match golden_plan file with
         | None ->
             Printf.printf "  (golden plan %s not found, skipped)\n" file;
+            unusable_plans :=
+              ("golden plan " ^ file ^ " not found") :: !unusable_plans;
             all_ok := false;
             None
         | Some path -> (
             match Fault.Plan.load path with
             | Error e ->
                 Printf.printf "  (golden plan %s unreadable: %s)\n" file e;
+                unusable_plans :=
+                  ("golden plan " ^ file ^ " unreadable") :: !unusable_plans;
                 all_ok := false;
                 None
             | Ok plan ->
@@ -348,7 +359,17 @@ let run () =
   if not overhead_ok then all_ok := false;
   record_metric ~direction:Obs.Snapshot.Lower_is_better ~predicted:5.
     "probe_overhead_pct" !best_overhead;
+  let agreement =
+    match List.rev !unusable_plans with
+    | [] ->
+        Printf.sprintf "monitor byte-identical to the oracles on %d runs"
+          agreement_runs
+    | plans -> String.concat ", " plans
+  in
   verdict !all_ok
-    "sketch error %.2f%% (bound %.2f%%), merge exact; monitor byte-identical \
-     to the oracles on %d runs; mutant caught; probe overhead %.1f%% (< 5%%)"
-    !worst_rel !bound_pct agreement_runs !best_overhead
+    "sketch error %.2f%% (bound %.2f%%), merge exact; %s; mutant %s; probe \
+     overhead %.1f%% (%s 5%%)"
+    !worst_rel !bound_pct agreement
+    (if mutant_caught then "caught" else "NOT caught")
+    !best_overhead
+    (if overhead_ok then "<" else ">=")

@@ -13,7 +13,6 @@ type stats = {
 
 type t = {
   cells : (string, stats) Hashtbl.t;
-  mutable max_step : int;
   mutable total : int;
 }
 
@@ -26,7 +25,7 @@ type cell = {
   buckets : (int * int * int) list;
 }
 
-let create () = { cells = Hashtbl.create 64; max_step = 0; total = 0 }
+let create () = { cells = Hashtbl.create 64; total = 0 }
 
 let stats_for t name =
   match Hashtbl.find_opt t.cells name with
@@ -56,7 +55,6 @@ let bucket_counts (s : stats) step =
 
 let touch t (s : stats) ~step ~p ~is_write =
   t.total <- t.total + 1;
-  if step > t.max_step then t.max_step <- step;
   if not (List.mem p s.accessors) then s.accessors <- p :: s.accessors;
   (* contention: this access hit a register last touched by someone
      else — counts ownership bounces, the cache-line-ping-pong analogue
@@ -108,11 +106,3 @@ let cells t =
   |> List.sort (fun a b -> compare a.name b.name)
 
 let total_accesses t = t.total
-
-let max_step t = t.max_step
-
-let hottest ?(limit = 10) t =
-  cells t
-  |> List.sort (fun a b ->
-         compare (b.reads + b.writes, b.name) (a.reads + a.writes, a.name))
-  |> List.filteri (fun i _ -> i < limit)

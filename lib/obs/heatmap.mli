@@ -39,10 +39,4 @@ val of_trace : Shm.Trace.t -> t
 val cells : t -> cell list
 (** All registers, sorted by name (deterministic for goldens). *)
 
-val hottest : ?limit:int -> t -> cell list
-(** Up to [limit] (default 10) cells by total accesses, descending
-    (ties broken by name, deterministically). *)
-
 val total_accesses : t -> int
-
-val max_step : t -> int

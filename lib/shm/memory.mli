@@ -9,7 +9,13 @@
 
     Every access names the process performing it ([~p]) so work is
     charged to the right ledger row.  Single shared flags (e.g. the
-    termination flag of IterStepKK) are vectors of length 1. *)
+    termination flag of IterStepKK) are vectors of length 1.
+
+    Building a structure costs one array fill of its cells.  The
+    content hashes ({!vhash}, {!mhash}) are built on their first call
+    and kept incrementally after it, and a matrix keeps write-ids only
+    for the 256-cell segments that have been written: a run that
+    neither fingerprints nor emits verbose events pays for neither. *)
 
 type vector
 
@@ -43,12 +49,13 @@ val vsnapshot : vector -> int array
     one step would violate the model's atomicity. *)
 
 val vhash : vector -> int
-(** Incrementally-maintained content hash: the XOR over cells of
-    {!Util.Mix.cell}[ i value].  Updated in O(1) by {!vset}; equal to
-    {!hash_cells}[ (vsnapshot v)] at all times.  Write-ids are
-    excluded on purpose — they encode the global write order, which
-    differs between commutation-equivalent interleavings
-    (DESIGN.md §9).  Unmetered; for state fingerprinting. *)
+(** Content hash: the XOR over cells of {!Util.Mix.cell}[ i value],
+    equal to {!hash_cells}[ (vsnapshot v)] at all times.  The first
+    call computes it in O(len); from then on {!vset} updates it in
+    O(1).  Write-ids are excluded on purpose — they encode the global
+    write order, which differs between commutation-equivalent
+    interleavings (DESIGN.md §9).  Unmetered; for state
+    fingerprinting. *)
 
 type matrix
 
@@ -70,7 +77,9 @@ val mpeek : matrix -> int -> int -> int
 
 val mwid : matrix -> int -> int -> int
 (** Write-id of the last metered write to [(r,c)] ([0] = initial).
-    Unmetered peek, like {!vwid}. *)
+    Unmetered peek, like {!vwid}.  Write-ids are drawn from the same
+    counter whether or not anything reads them, so they do not depend
+    on which segments are allocated. *)
 
 val mname : matrix -> row:int -> col:int -> string
 (** e.g. ["done[2][7]"]. *)
@@ -79,8 +88,9 @@ val msnapshot : matrix -> int array array
 (** Unmetered copy, [rows][cols], 0-based.  Checkers and tests only. *)
 
 val mhash : matrix -> int
-(** Incrementally-maintained content hash of the matrix, like
-    {!vhash}; equal to {!hash_matrix}[ (msnapshot m)] at all times. *)
+(** Content hash of the matrix, built on first call and then kept by
+    {!mset} in O(1), like {!vhash}; equal to
+    {!hash_matrix}[ (msnapshot m)] at all times. *)
 
 val hash_cells : int array -> int
 (** From-scratch hash of a {!vsnapshot} — the reference the

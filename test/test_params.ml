@@ -57,6 +57,38 @@ let test_job () =
     (Ostree.elements (Core.Job.range_set ~lo:3 ~hi:4));
   Alcotest.(check string) "pp" "job#4" (Format.asprintf "%a" Core.Job.pp 4)
 
+(* [universe] keeps the last tree it built: a repeated [n] shares it, a
+   new [n] builds the right set. *)
+let test_job_universe_shared () =
+  List.iter
+    (fun n ->
+      let u = Core.Job.universe ~n in
+      Alcotest.(check bool)
+        (Printf.sprintf "universe %d = of_range 1 %d" n n)
+        true
+        (Ostree.equal u (Ostree.of_range 1 n));
+      Alcotest.(check bool)
+        (Printf.sprintf "universe %d shared when repeated" n)
+        true
+        (Core.Job.universe ~n == u))
+    [ 7; 3; 7; 0; 12; 1; 12; 3 ]
+
+(* Two domains alternating between different [n] each get their own
+   set on every call, whatever the other last stored. *)
+let test_job_universe_domains () =
+  let worker n () =
+    let ok = ref true in
+    for _ = 1 to 2_000 do
+      let u = Core.Job.universe ~n in
+      if Ostree.cardinal u <> n || Ostree.max_elt u <> n then ok := false
+    done;
+    !ok
+  in
+  let d1 = Domain.spawn (worker 5) and d2 = Domain.spawn (worker 9) in
+  let ok1 = Domain.join d1 and ok2 = Domain.join d2 in
+  Alcotest.(check bool) "n = 5 domain" true ok1;
+  Alcotest.(check bool) "n = 9 domain" true ok2
+
 let test_event () =
   let open Shm.Event in
   Alcotest.(check int) "pid of do" 3 (pid (Do { p = 3; job = 1 }));
@@ -76,5 +108,9 @@ let suite =
     Alcotest.test_case "log2_ceil" `Quick test_log2_ceil;
     Alcotest.test_case "params pp" `Quick test_pp;
     Alcotest.test_case "job helpers" `Quick test_job;
+    Alcotest.test_case "job universe shared per n" `Quick
+      test_job_universe_shared;
+    Alcotest.test_case "job universe across domains" `Quick
+      test_job_universe_domains;
     Alcotest.test_case "event helpers" `Quick test_event;
   ]

@@ -41,6 +41,42 @@ let test_matrix_bounds () =
     (Invalid_argument "Memory.d: cell (3,1) out of range") (fun () ->
       ignore (Memory.mget m ~p:1 3 1))
 
+(* Matrix write-ids are kept in 256-cell segments allocated by the first
+   write into each; an unwritten cell reads 0 wherever it sits, and a
+   written one reads the id its write drew from the ledger. *)
+let test_matrix_write_ids () =
+  let metrics = Metrics.create ~m:2 in
+  let m = Memory.matrix ~metrics ~name:"d" ~rows:3 ~cols:200 ~init:5 in
+  let v = Memory.vector ~metrics ~name:"v" ~len:2 ~init:0 in
+  let all_zero () =
+    let ok = ref true in
+    for r = 1 to 3 do
+      for c = 1 to 200 do
+        if Memory.mwid m r c <> 0 then ok := false
+      done
+    done;
+    !ok
+  in
+  Alcotest.(check bool) "unwritten cells read 0" true (all_zero ());
+  (* cell (2,100) is flat index 299, in the second segment *)
+  Memory.mset m ~p:1 2 100 9;
+  Memory.vset v ~p:2 1 4;
+  Memory.mset m ~p:2 3 200 8;
+  Memory.mset m ~p:1 2 100 6;
+  Alcotest.(check int) "rewritten cell: its last write" 4 (Memory.mwid m 2 100);
+  Alcotest.(check int) "vector write drew id 2" 2 (Memory.vwid v 1);
+  Alcotest.(check int) "last cell" 3 (Memory.mwid m 3 200);
+  Alcotest.(check int) "same segment, unwritten" 0 (Memory.mwid m 2 101);
+  Alcotest.(check int) "first segment, never written" 0 (Memory.mwid m 1 1);
+  Alcotest.(check int) "values unchanged by the segments" 6 (Memory.mpeek m 2 100);
+  Alcotest.(check int) "untouched value" 5 (Memory.mpeek m 1 1);
+  let s = Memory.msnapshot m in
+  Alcotest.(check int) "snapshot of a written cell" 8 s.(2).(199);
+  Alcotest.(check int) "snapshot of an unwritten cell" 5 s.(0).(0);
+  Alcotest.check_raises "mwid bounds"
+    (Invalid_argument "Memory.d: cell (4,1) out of range") (fun () ->
+      ignore (Memory.mwid m 4 1))
+
 let test_metrics_accounting () =
   let t = Metrics.create ~m:3 in
   Metrics.on_read t ~p:1;
@@ -409,6 +445,7 @@ let suite =
     Alcotest.test_case "vector bounds" `Quick test_vector_bounds;
     Alcotest.test_case "matrix read/write" `Quick test_matrix_rw;
     Alcotest.test_case "matrix bounds" `Quick test_matrix_bounds;
+    Alcotest.test_case "matrix write-ids" `Quick test_matrix_write_ids;
     Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
     Alcotest.test_case "metrics pid check" `Quick test_metrics_bad_pid;
     Alcotest.test_case "register" `Quick test_register;
